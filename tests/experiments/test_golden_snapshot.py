@@ -1,27 +1,54 @@
-"""Golden regression test: one small Table-1 row pinned to a snapshot.
+"""Golden regression test: one small row per Table-1 test pinned to a snapshot.
 
 The full pipeline (input generation, autotuning, Level 1, the parallel
-Level-2 search, method evaluation) is deterministic given the seed, so one
-small ``sort1`` row's numbers are checked into
-``snapshots/sort1_small.json`` and every run -- serial or threaded -- must
-reproduce them.  This is the whole-system complement of the unit-level
-determinism tests: any unintended behaviour change anywhere in the
-pipeline moves at least one pinned number.
+Level-2 search, method evaluation) is deterministic given the seed, so each
+of the eight tests' small-row numbers are checked into
+``snapshots/<test>_small.json`` and every run must reproduce them: the
+speedups, the production classifier and a sha256 over the Level-1
+time/accuracy matrices.  This is the whole-system complement of the
+unit-level determinism tests: any unintended behaviour change anywhere in
+the pipeline moves at least one pinned number.
 
-Regenerate the snapshot after an *intended* behaviour change with::
+The suite always runs on the ``serial`` and ``thread`` executors; setting
+``REPRO_EXECUTOR`` (as CI does for ``process`` and ``distributed``) adds
+that executor to the parametrization.
+
+Regenerate the snapshots after an *intended* behaviour change with::
 
     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/experiments/test_golden_snapshot.py
 """
 
+import hashlib
 import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 
-SNAPSHOT_PATH = pathlib.Path(__file__).parent / "snapshots" / "sort1_small.json"
+SNAPSHOT_DIR = pathlib.Path(__file__).parent / "snapshots"
+
+#: The paper's eight Table-1 tests.
+TESTS = (
+    "sort1",
+    "sort2",
+    "clustering1",
+    "clustering2",
+    "binpacking",
+    "svd",
+    "poisson2d",
+    "helmholtz3d",
+)
+
+#: Per-test config overrides keeping every row around a second or less.
+OVERRIDES = {"helmholtz3d": {"n_inputs": 12}}
+
+#: Executors every tier-1 run covers; ``REPRO_EXECUTOR`` adds one more.
+EXECUTORS = tuple(
+    dict.fromkeys(("serial", "thread", os.environ.get("REPRO_EXECUTOR", "serial")))
+)
 
 #: Methods whose numbers are pinned.
 METHODS = ("static_oracle", "dynamic_oracle", "two_level", "one_level")
@@ -32,8 +59,8 @@ METHODS = ("static_oracle", "dynamic_oracle", "two_level", "one_level")
 DIGITS = 9
 
 
-def golden_config(executor: str) -> ExperimentConfig:
-    return ExperimentConfig(
+def golden_config(test: str, executor: str) -> ExperimentConfig:
+    settings = dict(
         n_inputs=32,
         n_clusters=4,
         tuner_generations=2,
@@ -44,6 +71,18 @@ def golden_config(executor: str) -> ExperimentConfig:
         executor=executor,
         workers=2,
     )
+    settings.update(OVERRIDES.get(test, {}))
+    return ExperimentConfig(**settings)
+
+
+def matrix_digest(times, accuracies) -> str:
+    """sha256 over the N x K time and accuracy matrices (shape + float64 bytes)."""
+    digest = hashlib.sha256()
+    for matrix in (times, accuracies):
+        array = np.ascontiguousarray(matrix, dtype=np.float64)
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def summarize(result) -> dict:
@@ -61,27 +100,33 @@ def summarize(result) -> dict:
             method: round(result.satisfaction(method), DIGITS) for method in METHODS
         },
         "two_level_times": [round(float(t), DIGITS) for t in two_level_times],
+        "matrix_digest": matrix_digest(
+            training.dataset.times, training.dataset.accuracies
+        ),
     }
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    if not SNAPSHOT_PATH.exists() and not os.environ.get("REPRO_UPDATE_GOLDEN"):
-        pytest.fail(f"missing golden snapshot {SNAPSHOT_PATH}")
+def load_snapshot(test: str) -> dict:
+    path = SNAPSHOT_DIR / f"{test}_small.json"
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        summary = summarize(run_experiment("sort1", golden_config("serial")))
-        SNAPSHOT_PATH.parent.mkdir(parents=True, exist_ok=True)
-        SNAPSHOT_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-    return json.loads(SNAPSHOT_PATH.read_text())
+        summary = summarize(run_experiment(test, golden_config(test, "serial")))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(summary, indent=2) + "\n")
+    if not path.exists():
+        pytest.fail(f"missing golden snapshot {path}")
+    return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_pipeline_output_matches_snapshot(golden, executor):
-    result = run_experiment("sort1", golden_config(executor))
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("test", TESTS)
+def test_pipeline_output_matches_snapshot(test, executor):
+    golden = load_snapshot(test)
+    result = run_experiment(test, golden_config(test, executor))
     assert result.runtime_stats["executor"] == executor
     summary = summarize(result)
 
     assert summary["test"] == golden["test"]
+    assert summary["matrix_digest"] == golden["matrix_digest"]
     assert summary["n_landmarks"] == golden["n_landmarks"]
     assert summary["production_classifier"] == golden["production_classifier"]
     assert summary["relabel_shift"] == pytest.approx(
