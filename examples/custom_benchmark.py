@@ -47,23 +47,23 @@ def run_search(config, problem):
     found = 0
     if method == "linear":
         for key in queries:
-            charge(len(data), "scan")
+            charge(len(data))
             found += int(key in set(data.tolist()))
     elif method == "binary":
         is_sorted = bool(np.all(data[:-1] <= data[1:]))
-        charge(len(data), "verify")
+        charge(len(data))
         ordered = data if is_sorted else np.sort(data)
         if not is_sorted:
-            charge(len(data) * math.log2(max(len(data), 2)), "sort")
+            charge(len(data) * math.log2(max(len(data), 2)))
         for key in queries:
-            charge(math.log2(max(len(data), 2)), "probe")
+            charge(math.log2(max(len(data), 2)))
             position = int(np.searchsorted(ordered, key))
             found += int(position < len(ordered) and ordered[position] == key)
     else:  # hash index
-        charge(2.0 * len(data), "build_index")
+        charge(2.0 * len(data))
         index = set(data.tolist())
         for key in queries:
-            charge(1.0, "probe")
+            charge(1.0)
             found += int(key in index)
     return found
 
@@ -72,17 +72,17 @@ def sortedness(problem, fraction):
     data = problem["data"]
     sample_size = max(2, int(len(data) * fraction))
     sample = data[np.linspace(0, len(data) - 1, sample_size, dtype=int)]
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.mean(sample[:-1] <= sample[1:]))
 
 
 def size_feature(problem, fraction):
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(len(problem["data"]), 2))
 
 
 def query_load(problem, fraction):
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(len(problem["queries"]), 1) + 1)
 
 

@@ -39,7 +39,7 @@ def next_fit(items: Sequence[float]) -> Bins:
     bins: Bins = []
     level = CAPACITY + 1.0
     for item in items:
-        charge(1, "probe")
+        charge(1)
         if level + item > CAPACITY + EPSILON:
             bins.append([])
             level = 0.0
@@ -55,7 +55,7 @@ def first_fit(items: Sequence[float]) -> Bins:
     for item in items:
         placed = False
         for index, level in enumerate(levels):
-            charge(1, "probe")
+            charge(1)
             if level + item <= CAPACITY + EPSILON:
                 bins[index].append(item)
                 levels[index] += item
@@ -74,7 +74,7 @@ def last_fit(items: Sequence[float]) -> Bins:
     for item in items:
         placed = False
         for index in range(len(levels) - 1, -1, -1):
-            charge(1, "probe")
+            charge(1)
             if levels[index] + item <= CAPACITY + EPSILON:
                 bins[index].append(item)
                 levels[index] += item
@@ -91,7 +91,7 @@ def _fit_by_rule(items: Sequence[float], rule: str) -> Bins:
     bins: Bins = []
     levels: List[float] = []
     for item in items:
-        charge(max(len(levels), 1), "probe")
+        charge(max(len(levels), 1))
         candidates = [
             (level, index)
             for index, level in enumerate(levels)
@@ -133,7 +133,7 @@ def almost_worst_fit(items: Sequence[float]) -> Bins:
 def _decreasing(items: Sequence[float]) -> List[float]:
     """Sort items in non-increasing order, charging the comparison cost."""
     n = len(items)
-    charge(n * math.log2(max(n, 2)), "sort")
+    charge(n * math.log2(max(n, 2)))
     return sorted(items, reverse=True)
 
 
@@ -179,7 +179,7 @@ def modified_first_fit_decreasing(items: Sequence[float]) -> Bins:
     ordered = _decreasing(items)
     large = [x for x in ordered if x > CAPACITY / 2]
     rest = [x for x in ordered if x <= CAPACITY / 2]
-    charge(len(ordered), "classify")
+    charge(len(ordered))
 
     bins: Bins = [[x] for x in large]
     levels: List[float] = [x for x in large]
@@ -191,7 +191,7 @@ def modified_first_fit_decreasing(items: Sequence[float]) -> Bins:
     companion_used = [False] * len(bins)
     pool = list(rest)
     for index in order:
-        charge(max(len(pool), 1), "probe")
+        charge(max(len(pool), 1))
         chosen = -1
         for j, item in enumerate(pool):
             if levels[index] + item <= CAPACITY + EPSILON:
@@ -208,7 +208,7 @@ def modified_first_fit_decreasing(items: Sequence[float]) -> Bins:
     for item in remaining:
         placed = False
         for index, level in enumerate(levels):
-            charge(1, "probe")
+            charge(1)
             if level + item <= CAPACITY + EPSILON:
                 bins[index].append(item)
                 levels[index] += item

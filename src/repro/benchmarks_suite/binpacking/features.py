@@ -28,21 +28,21 @@ def _sample(items: np.ndarray, fraction: float) -> np.ndarray:
 def average(items: np.ndarray, fraction: float) -> float:
     """Mean item size: small means almost any heuristic packs densely."""
     sample = _sample(np.asarray(items, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.mean(sample)) if len(sample) else 0.0
 
 
 def deviation(items: np.ndarray, fraction: float) -> float:
     """Standard deviation of item sizes."""
     sample = _sample(np.asarray(items, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.std(sample)) if len(sample) else 0.0
 
 
 def value_range(items: np.ndarray, fraction: float) -> float:
     """Max minus min item size."""
     sample = _sample(np.asarray(items, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.max(sample) - np.min(sample)) if len(sample) else 0.0
 
 
@@ -54,7 +54,7 @@ def sortedness(items: np.ndarray, fraction: float) -> float:
     the benchmark rewards.
     """
     sample = _sample(np.asarray(items, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) < 2:
         return 1.0
     ordered = np.count_nonzero(sample[:-1] >= sample[1:])
@@ -63,7 +63,7 @@ def sortedness(items: np.ndarray, fraction: float) -> float:
 
 def size_feature(items: np.ndarray, fraction: float) -> float:
     """Log2 of the number of items."""
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(len(items), 1))
 
 

@@ -39,13 +39,13 @@ class ClusteringOutput:
 def _init_random(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Random distinct points as initial centres."""
     indices = rng.choice(len(points), size=min(k, len(points)), replace=False)
-    charge(k, "init")
+    charge(k)
     return points[indices].astype(float)
 
 
 def _init_prefix(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """The first k points as initial centres (cheapest, order sensitive)."""
-    charge(k, "init")
+    charge(k)
     return points[: min(k, len(points))].astype(float).copy()
 
 
@@ -55,7 +55,7 @@ def _init_centerplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     centers = np.empty((min(k, n), points.shape[1]), dtype=float)
     centers[0] = points[int(rng.integers(n))]
     closest_sq = np.sum((points - centers[0]) ** 2, axis=1)
-    charge(n, "init")
+    charge(n)
     for i in range(1, centers.shape[0]):
         total = float(closest_sq.sum())
         if total <= 0:
@@ -64,7 +64,7 @@ def _init_centerplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np
             index = int(rng.choice(n, p=closest_sq / total))
         centers[i] = points[index]
         closest_sq = np.minimum(closest_sq, np.sum((points - centers[i]) ** 2, axis=1))
-        charge(n, "init")
+        charge(n)
     return centers
 
 
@@ -113,12 +113,12 @@ def kmeans_cluster(
     for _ in range(iterations):
         distances = _point_center_distances(points, centers)
         assignments = np.argmin(distances, axis=1)
-        charge(n * centers.shape[0], "distance")
+        charge(n * centers.shape[0])
         for cluster in range(centers.shape[0]):
             members = points[assignments == cluster]
             if len(members) > 0:
                 centers[cluster] = members.mean(axis=0)
-        charge(n, "update")
+        charge(n)
 
     distances = _point_center_distances(points, centers)
     assignments = np.argmin(distances, axis=1)

@@ -29,7 +29,7 @@ def _sample_points(points: np.ndarray, fraction: float) -> np.ndarray:
 def radius(problem, fraction: float) -> float:
     """RMS distance of sampled points from their centroid."""
     sample = _sample_points(np.asarray(problem.points, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) == 0:
         return 0.0
     centroid = sample.mean(axis=0)
@@ -44,7 +44,7 @@ def centers(problem, fraction: float) -> float:
     clustering, which is what makes the feature costly in the paper).
     """
     sample = _sample_points(np.asarray(problem.points, dtype=float), fraction)
-    charge(len(sample) * 8.0, "feature")  # grid binning + neighbourhood scan
+    charge(len(sample) * 8.0)  # grid binning + neighbourhood scan
     if len(sample) < 4:
         return 1.0
     grid_size = 12
@@ -80,7 +80,7 @@ def centers(problem, fraction: float) -> float:
 def density(problem, fraction: float) -> float:
     """Points per unit bounding-box area (log scale)."""
     sample = _sample_points(np.asarray(problem.points, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) < 2:
         return 0.0
     mins = sample.min(axis=0)
@@ -92,7 +92,7 @@ def density(problem, fraction: float) -> float:
 def value_range(problem, fraction: float) -> float:
     """Largest coordinate span of the sampled points."""
     sample = _sample_points(np.asarray(problem.points, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) == 0:
         return 0.0
     return float(np.max(sample.max(axis=0) - sample.min(axis=0)))
@@ -100,7 +100,7 @@ def value_range(problem, fraction: float) -> float:
 
 def size_feature(problem, fraction: float) -> float:
     """Log2 of the number of points (essentially free)."""
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(len(problem.points), 1))
 
 

@@ -46,7 +46,7 @@ def apply_operator(u: np.ndarray, coefficient: np.ndarray, charge_cost: bool = T
         - padded[1:-1, 1:-1, 2:]
     ) / h2
     if charge_cost:
-        charge(8.0 * n ** 3, "stencil")
+        charge(8.0 * n ** 3)
     return laplacian + coefficient * u
 
 
@@ -79,7 +79,7 @@ def jacobi(
         ) / h2
         updated = (f + neighbours) / diagonal
         u = (1.0 - weight) * u + weight * updated
-        charge(9.0 * n ** 3, "stencil")
+        charge(9.0 * n ** 3)
     return u
 
 
@@ -116,7 +116,7 @@ def sor(
             ) / h2
             gauss_seidel = (f + neighbours) / diagonal
             u[mask] = (1.0 - omega) * u[mask] + omega * gauss_seidel[mask]
-        charge(11.0 * n ** 3, "stencil")
+        charge(11.0 * n ** 3)
     return u
 
 
@@ -152,11 +152,11 @@ def direct_sparse(f: np.ndarray, coefficient: np.ndarray) -> np.ndarray:
     """
     n = f.shape[0]
     unknowns = n ** 3
-    charge(0.5 * unknowns ** 2, "factorize")
+    charge(0.5 * unknowns ** 2)
     matrix = build_sparse_operator(coefficient)
     lu = splu(matrix)
     solution = lu.solve(f.ravel())
-    charge(20.0 * unknowns, "solve")
+    charge(20.0 * unknowns)
     return solution.reshape(f.shape)
 
 
@@ -175,7 +175,7 @@ def _restrict(fine: np.ndarray) -> np.ndarray:
         + padded[np.ix_(i, i, i - 1)]
         + padded[np.ix_(i, i, i + 1)]
     )
-    charge(8.0 * coarse_n ** 3, "restrict")
+    charge(8.0 * coarse_n ** 3)
     return (2.0 * center + face_sum / 2.0) / 5.0
 
 
@@ -189,7 +189,7 @@ def _prolong(coarse: np.ndarray, fine_n: int) -> np.ndarray:
     fine_coords = (np.arange(1, fine_n + 1) / 2.0).astype(int)
     fine_coords = np.clip(fine_coords, 0, coarse_n)
     fine = padded[np.ix_(fine_coords, fine_coords, fine_coords)]
-    charge(4.0 * fine_n ** 3, "prolong")
+    charge(4.0 * fine_n ** 3)
     return fine
 
 

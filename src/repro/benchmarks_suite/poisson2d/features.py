@@ -30,7 +30,7 @@ def residual_measure(problem, fraction: float) -> float:
     """Roughness of the RHS: RMS of its discrete Laplacian, normalized."""
     sample = _sample_grid(np.asarray(problem.rhs, dtype=float), fraction)
     n = sample.shape[0]
-    charge(5.0 * n * n, "feature")
+    charge(5.0 * n * n)
     padded = np.pad(sample, 1)
     laplacian = (
         4.0 * padded[1:-1, 1:-1]
@@ -46,20 +46,20 @@ def residual_measure(problem, fraction: float) -> float:
 def deviation(problem, fraction: float) -> float:
     """Standard deviation of the sampled RHS values."""
     sample = _sample_grid(np.asarray(problem.rhs, dtype=float), fraction)
-    charge(sample.size, "feature")
+    charge(sample.size)
     return float(np.std(sample))
 
 
 def zeros(problem, fraction: float) -> float:
     """Fraction of (near-)zero entries in the sampled RHS."""
     sample = _sample_grid(np.asarray(problem.rhs, dtype=float), fraction)
-    charge(sample.size, "feature")
+    charge(sample.size)
     return float(np.mean(np.abs(sample) < 1e-12))
 
 
 def size_feature(problem, fraction: float) -> float:
     """Log2 of the grid dimension."""
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(problem.rhs.shape[0], 2))
 
 

@@ -41,7 +41,7 @@ def apply_operator(u: np.ndarray, charge_cost: bool = True) -> np.ndarray:
         - padded[1:-1, 2:]
     ) / h2
     if charge_cost:
-        charge(5.0 * n * n, "stencil")
+        charge(5.0 * n * n)
     return result
 
 
@@ -73,7 +73,7 @@ def jacobi(f: np.ndarray, iterations: int, u0: np.ndarray = None, weight: float 
         )
         updated = (neighbours + h2 * f) / 4.0
         u = (1.0 - weight) * u + weight * updated
-        charge(6.0 * n * n, "stencil")
+        charge(6.0 * n * n)
     return u
 
 
@@ -106,7 +106,7 @@ def sor(f: np.ndarray, iterations: int, omega: float = None, u0: np.ndarray = No
             )
             gauss_seidel = (neighbours + h2 * f) / 4.0
             u[mask] = (1.0 - omega) * u[mask] + omega * gauss_seidel[mask]
-        charge(8.0 * n * n, "stencil")
+        charge(8.0 * n * n)
     return u
 
 
@@ -133,9 +133,9 @@ def direct_banded_cholesky(f: np.ndarray) -> np.ndarray:
     within_row[np.arange(1, unknowns) % n == 0] = 0.0  # no coupling across grid rows
     banded[1, : unknowns - 1] = within_row
     banded[bandwidth, : unknowns - n] = -1.0 / h2
-    charge(2.0 * unknowns * bandwidth ** 2, "factorize")
+    charge(2.0 * unknowns * bandwidth ** 2)
     solution = solveh_banded(banded, f.reshape(unknowns), lower=True)
-    charge(4.0 * unknowns * bandwidth, "solve")
+    charge(4.0 * unknowns * bandwidth)
     return solution.reshape(n, n)
 
 
@@ -156,13 +156,13 @@ def direct_fast_poisson(f: np.ndarray) -> np.ndarray:
     # Sine basis S[i, j] = sin(pi * i * j * h); S is symmetric and S^2 = (n+1)/2 * I.
     sine = np.sin(math.pi * h * np.outer(modes, modes))
     eigenvalues = (2.0 - 2.0 * np.cos(math.pi * modes * h)) / (h * h)
-    charge(4.0 * n ** 3, "transform")
+    charge(4.0 * n ** 3)
     f_hat = sine @ f @ sine
     denom = eigenvalues[:, None] + eigenvalues[None, :]
     u_hat = f_hat / denom
     u = sine @ u_hat @ sine
     u *= (2.0 / (n + 1)) ** 2
-    charge(4.0 * n ** 3, "transform")
+    charge(4.0 * n ** 3)
     return u
 
 
@@ -185,7 +185,7 @@ def _restrict(fine: np.ndarray) -> np.ndarray:
         + padded[np.ix_(i + 1, i - 1)]
         + padded[np.ix_(i + 1, i + 1)]
     )
-    charge(9.0 * coarse_n * coarse_n, "restrict")
+    charge(9.0 * coarse_n * coarse_n)
     return (4.0 * center + 2.0 * edges + corners) / 16.0
 
 
@@ -210,7 +210,7 @@ def _prolong(coarse: np.ndarray, fine_n: int) -> np.ndarray:
         + padded[np.ix_(i[:-1], i[:-1] + 1)]
         + padded[np.ix_(i[:-1] + 1, i[:-1] + 1)]
     )
-    charge(4.0 * fine_n * fine_n, "prolong")
+    charge(4.0 * fine_n * fine_n)
     return fine
 
 

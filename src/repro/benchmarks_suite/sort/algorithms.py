@@ -114,8 +114,8 @@ def _insertion_sort_scalar(data: np.ndarray) -> np.ndarray:
             moves += shift
         result[position] = value
         moves += 1
-    charge(comparisons, "compare")
-    charge(moves, "move")
+    charge(comparisons)
+    charge(moves)
     return result
 
 
@@ -136,8 +136,8 @@ def insertion_sort(data: np.ndarray) -> np.ndarray:
         # NaNs break searchsorted/sort agreement; take the reference path.
         return _insertion_sort_scalar(data)
     inversions = _count_inversions(data)
-    charge(float(inversions + count), "compare")
-    charge(float(inversions + count), "move")
+    charge(float(inversions + count))
+    charge(float(inversions + count))
     return np.sort(data, kind="stable")
 
 
@@ -164,7 +164,7 @@ def quick_sort(
         return data.copy()
 
     pivot = _choose_pivot(data, pivot_rule, rng)
-    charge(count, "compare")  # one pass to partition
+    charge(count)  # one pass to partition
     less = data[data < pivot]
     equal = data[data == pivot]
     greater = data[data > pivot]
@@ -173,7 +173,7 @@ def quick_sort(
     sorted_greater = dispatch(greater, depth + 1)
     # One move per element for the partition pass plus one for the final
     # concatenation; the merged charge equals the two separate ones exactly.
-    charge(2.0 * count, "move")
+    charge(2.0 * count)
     return np.concatenate([sorted_less, equal, sorted_greater])
 
 
@@ -184,7 +184,7 @@ def _choose_pivot(
         return float(data[0])
     if pivot_rule == "median3":
         first, middle, last = data[0], data[len(data) // 2], data[-1]
-        charge(3, "compare")
+        charge(3)
         if first != first or middle != middle or last != last:
             # NaN candidates: defer to np.median's NaN-sorts-last semantics.
             return float(np.median([first, middle, last]))
@@ -291,10 +291,10 @@ def merge_sort_collapsed(
     total = merge_charge
     for start, end in leaf_slices:
         total += _count_inversions(data[start:end]) + (end - start)
-    charge(float(total), "compare")
-    charge(float(total), "move")
+    charge(float(total))
+    charge(float(total))
     if bitonic_charge:
-        charge(float(bitonic_charge), "compare_exchange")
+        charge(float(bitonic_charge))
     return np.sort(data, kind="stable")
 
 
@@ -380,8 +380,8 @@ def _merge_two(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return right.copy()
     if len(right) == 0:
         return left.copy()
-    charge(total, "compare")
-    charge(total, "move")
+    charge(total)
+    charge(total)
     # A stable sort of the concatenation IS the stable merge: left elements
     # precede equal right elements and each run's internal order is kept --
     # identical output to the positional searchsorted merge, one kernel call.
@@ -411,7 +411,7 @@ def radix_sort(data: np.ndarray, bits_per_pass: int = 8) -> np.ndarray:
 
     low = float(np.min(data))
     high = float(np.max(data))
-    charge(2.0 * count, "quantize")
+    charge(2.0 * count)
     if high <= low:
         return data.copy()
     grid = (1 << RADIX_GRID_BITS) - 1
@@ -427,13 +427,13 @@ def radix_sort(data: np.ndarray, bits_per_pass: int = 8) -> np.ndarray:
     # distinct-key count falls out of the sorted keys.  The per-pass charge
     # is data-independent (2n + digit-space histogram), so the aggregate
     # equals the incremental sum bit-for-bit (integer-valued floats).
-    charge(2.0 * count, "dictionary")
+    charge(2.0 * count)
     indices = np.argsort(quantized, kind="stable")
     sorted_keys = quantized[indices]
     n_distinct = 1 + int(np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1]))
     key_bits = max(1, int(math.ceil(math.log2(max(n_distinct, 2)))))
     passes = max(1, int(math.ceil(key_bits / bits_per_pass)))
-    charge(passes * (2.0 * count + float(1 << bits_per_pass)), "bucket")
+    charge(passes * (2.0 * count + float(1 << bits_per_pass)))
     nearly_sorted = data[indices]
     # Values that share a quantized key are still unordered among themselves;
     # a linear-scan insertion pass fixes them at (charged) cost proportional
@@ -468,7 +468,7 @@ def bitonic_sort(data: np.ndarray) -> np.ndarray:
         # size/2 is a power of two, so the single product equals the sum of
         # the per-substage charges bit-for-bit.
         stages = int(math.log2(size))
-        charge((stages * (stages + 1) // 2) * (size / 2), "compare_exchange")
+        charge((stages * (stages + 1) // 2) * (size / 2))
         return np.sort(values)
     padded = np.full(size, np.inf, dtype=float)
     padded[:count] = values
@@ -486,7 +486,7 @@ def bitonic_sort(data: np.ndarray) -> np.ndarray:
         new_b = np.where(swap, a, b)
         view[:, :distance] = new_a
         view[:, distance:] = new_b
-        charge(size / 2, "compare_exchange")
+        charge(size / 2)
     return padded[:count]
 
 

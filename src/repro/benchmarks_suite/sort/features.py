@@ -34,7 +34,7 @@ def _sample(data: np.ndarray, fraction: float) -> np.ndarray:
 def sortedness(data: np.ndarray, fraction: float) -> float:
     """Fraction of adjacent sampled pairs already in order (paper Figure 1)."""
     sample = _sample(np.asarray(data, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) < 2:
         return 1.0
     ordered = np.count_nonzero(sample[:-1] <= sample[1:])
@@ -44,7 +44,7 @@ def sortedness(data: np.ndarray, fraction: float) -> float:
 def duplication(data: np.ndarray, fraction: float) -> float:
     """One minus the fraction of distinct values in the sample."""
     sample = _sample(np.asarray(data, dtype=float), fraction)
-    charge(len(sample) * max(1.0, math.log2(max(len(sample), 2))), "feature")
+    charge(len(sample) * max(1.0, math.log2(max(len(sample), 2))))
     if len(sample) == 0:
         return 0.0
     if bool(np.isnan(sample).any()):
@@ -60,7 +60,7 @@ def duplication(data: np.ndarray, fraction: float) -> float:
 def deviation(data: np.ndarray, fraction: float) -> float:
     """Coefficient-of-variation-style spread of the sampled values."""
     sample = _sample(np.asarray(data, dtype=float), fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) == 0:
         return 0.0
     spread = float(np.std(sample))
@@ -90,19 +90,19 @@ def test_sort(data: np.ndarray, fraction: float) -> float:
                 result[position + 1 : i + 1] = result[position:i]
                 moves += shift
             result[position] = sample[i]
-        charge(count + moves, "feature")
+        charge(count + moves)
         return moves / count
     # The total shift distance of the insertion pass is exactly the number of
     # inversions in the sample (an integer, so the float accounting is
     # bit-identical to the incremental loop).
     moves = float(_count_inversions(sample))
-    charge(count + moves, "feature")
+    charge(count + moves)
     return moves / count
 
 
 def size_feature(data: np.ndarray, fraction: float) -> float:
     """Log2 of the input length -- essentially free, always useful."""
-    charge(1.0, "feature")
+    charge(1.0)
     return math.log2(max(len(data), 1))
 
 

@@ -28,7 +28,7 @@ from repro.lang.cost import charge
 def exact_rank_k(matrix: np.ndarray, k: int) -> np.ndarray:
     """Truncate the exact dense SVD to rank ``k``."""
     m, n = matrix.shape
-    charge(4.0 * m * n * n, "flop")
+    charge(4.0 * m * n * n)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     k = min(k, len(s))
     return (u[:, :k] * s[:k]) @ vt[:k, :]
@@ -45,11 +45,11 @@ def subspace_rank_k(matrix: np.ndarray, k: int, iterations: int = 8) -> np.ndarr
         # One multiplication by A and one by A^T per sweep.
         projected = matrix @ basis            # m x k
         basis, _ = np.linalg.qr(matrix.T @ projected)  # n x k
-        charge(2.0 * m * n * k + 2.0 * n * k * k, "flop")
+        charge(2.0 * m * n * k + 2.0 * n * k * k)
     projected = matrix @ basis
     # Small SVD of the projected m x k matrix recovers singular values/vectors.
     u_small, s, w_t = np.linalg.svd(projected, full_matrices=False)
-    charge(4.0 * m * k * k, "flop")
+    charge(4.0 * m * k * k)
     v = basis @ w_t.T
     return (u_small * s) @ v.T
 
@@ -75,12 +75,12 @@ def power_rank_k(matrix: np.ndarray, k: int, iterations: int = 12) -> np.ndarray
             if sigma <= 1e-30:
                 break
             v /= sigma
-            charge(4.0 * m * n, "flop")
+            charge(4.0 * m * n)
         sigma = float(u @ residual @ v) if sigma_u > 1e-30 else 0.0
         component = sigma * np.outer(u, v)
         approximation += component
         residual -= component
-        charge(2.0 * m * n, "flop")
+        charge(2.0 * m * n)
     return approximation
 
 

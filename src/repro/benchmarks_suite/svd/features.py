@@ -31,21 +31,21 @@ def _sample_entries(matrix: np.ndarray, fraction: float) -> np.ndarray:
 def value_range(problem, fraction: float) -> float:
     """Max minus min sampled entry."""
     sample = _sample_entries(problem.matrix, fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.max(sample) - np.min(sample)) if len(sample) else 0.0
 
 
 def deviation(problem, fraction: float) -> float:
     """Standard deviation of sampled entries."""
     sample = _sample_entries(problem.matrix, fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     return float(np.std(sample)) if len(sample) else 0.0
 
 
 def zeros(problem, fraction: float) -> float:
     """Fraction of sampled entries that are (near) zero."""
     sample = _sample_entries(problem.matrix, fraction)
-    charge(len(sample), "feature")
+    charge(len(sample))
     if len(sample) == 0:
         return 0.0
     return float(np.mean(np.abs(sample) < 1e-12))

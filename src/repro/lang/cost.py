@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 
 @dataclass
@@ -29,20 +29,15 @@ class CostCounter:
 
     Attributes:
         total: total work units charged so far.
-        by_category: per-category breakdown (e.g. ``"compare"``, ``"swap"``,
-            ``"flop"``).  Categories are free-form strings chosen by the
-            charging code.
     """
 
     total: float = 0.0
-    by_category: Dict[str, float] = field(default_factory=dict)
 
-    def charge(self, amount: float, category: str = "work") -> None:
-        """Charge ``amount`` work units to ``category``.
+    def charge(self, amount: float) -> None:
+        """Charge ``amount`` work units.
 
         Args:
             amount: non-negative number of work units.
-            category: free-form label for the breakdown.
 
         Raises:
             ValueError: if ``amount`` is negative.
@@ -50,20 +45,14 @@ class CostCounter:
         if amount < 0:
             raise ValueError(f"cannot charge negative cost: {amount}")
         self.total += amount
-        self.by_category[category] = self.by_category.get(category, 0.0) + amount
 
     def merge(self, other: "CostCounter") -> None:
         """Fold another counter's charges into this one."""
         self.total += other.total
-        for category, amount in other.by_category.items():
-            self.by_category[category] = (
-                self.by_category.get(category, 0.0) + amount
-            )
 
     def reset(self) -> None:
         """Zero the counter."""
         self.total = 0.0
-        self.by_category.clear()
 
     def snapshot(self) -> float:
         """Return the current total (useful for measuring a sub-interval)."""
@@ -75,12 +64,10 @@ class CostCounter:
 
     def copy(self) -> "CostCounter":
         """Return an independent copy of this counter."""
-        clone = CostCounter(total=self.total)
-        clone.by_category = dict(self.by_category)
-        return clone
+        return CostCounter(total=self.total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CostCounter(total={self.total:.1f}, categories={len(self.by_category)})"
+        return f"CostCounter(total={self.total:.1f})"
 
 
 # An ambient "current" counter lets deeply nested algorithm code charge work
@@ -102,7 +89,7 @@ def current_counter() -> Optional[CostCounter]:
     return _current.get()
 
 
-def charge(amount: float, category: str = "work") -> None:
+def charge(amount: float) -> None:
     """Charge work to the currently installed counter, if any.
 
     Algorithm code calls this unconditionally; when no counter is installed
@@ -118,8 +105,6 @@ def charge(amount: float, category: str = "work") -> None:
         if amount < 0:
             raise ValueError(f"cannot charge negative cost: {amount}")
         counter.total += amount
-        categories = counter.by_category
-        categories[category] = categories.get(category, 0.0) + amount
 
 
 @contextlib.contextmanager

@@ -45,11 +45,11 @@ def deployment_feature_set():
     """A feature set matching the dataset layout for deployment-time tests."""
 
     def a_extractor(value, fraction):
-        charge(1.0 if fraction < 0.5 else 3.0, "feature")
+        charge(1.0 if fraction < 0.5 else 3.0)
         return float(value)
 
     def b_extractor(value, fraction):
-        charge(10.0 if fraction < 0.5 else 30.0, "feature")
+        charge(10.0 if fraction < 0.5 else 30.0)
         return 0.0
 
     return FeatureSet(

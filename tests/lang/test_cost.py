@@ -9,21 +9,12 @@ class TestCostCounter:
     def test_starts_empty(self):
         counter = CostCounter()
         assert counter.total == 0.0
-        assert counter.by_category == {}
 
     def test_charge_accumulates_total(self):
         counter = CostCounter()
-        counter.charge(3.0, "compare")
-        counter.charge(2.0, "move")
+        counter.charge(3.0)
+        counter.charge(2.0)
         assert counter.total == pytest.approx(5.0)
-
-    def test_charge_tracks_categories(self):
-        counter = CostCounter()
-        counter.charge(3.0, "compare")
-        counter.charge(2.0, "compare")
-        counter.charge(1.0, "move")
-        assert counter.by_category["compare"] == pytest.approx(5.0)
-        assert counter.by_category["move"] == pytest.approx(1.0)
 
     def test_negative_charge_rejected(self):
         counter = CostCounter()
@@ -32,20 +23,18 @@ class TestCostCounter:
 
     def test_merge_combines_counters(self):
         first = CostCounter()
-        first.charge(2.0, "a")
+        first.charge(2.0)
         second = CostCounter()
-        second.charge(3.0, "a")
-        second.charge(1.0, "b")
+        second.charge(3.0)
+        second.charge(1.0)
         first.merge(second)
         assert first.total == pytest.approx(6.0)
-        assert first.by_category == {"a": pytest.approx(5.0), "b": pytest.approx(1.0)}
 
     def test_reset_clears_everything(self):
         counter = CostCounter()
         counter.charge(5.0)
         counter.reset()
         assert counter.total == 0.0
-        assert counter.by_category == {}
 
     def test_snapshot_and_since(self):
         counter = CostCounter()
@@ -56,9 +45,9 @@ class TestCostCounter:
 
     def test_copy_is_independent(self):
         counter = CostCounter()
-        counter.charge(1.0, "x")
+        counter.charge(1.0)
         clone = counter.copy()
-        clone.charge(9.0, "x")
+        clone.charge(9.0)
         assert counter.total == pytest.approx(1.0)
         assert clone.total == pytest.approx(10.0)
 
@@ -71,8 +60,8 @@ class TestScopedCounter:
 
     def test_charge_inside_scope_accumulates(self):
         with scoped_counter() as counter:
-            charge(2.5, "work")
-            charge(1.5, "work")
+            charge(2.5)
+            charge(1.5)
         assert counter.total == pytest.approx(4.0)
 
     def test_scope_restores_previous_counter(self):

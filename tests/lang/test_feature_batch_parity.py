@@ -72,7 +72,7 @@ def test_batch_rows_match_extract_all_measurements(batch):
 def _charging_feature(value, fraction):
     """A property whose cost depends on the value -- cost isolation probe."""
     amount = float(len(value)) * fraction
-    charge(amount, "probe")
+    charge(amount)
     return amount
 
 

@@ -15,7 +15,7 @@ from repro.lang.features import (
 def mean_feature(data, fraction):
     """A toy extractor that charges proportionally to the fraction sampled."""
     sample_size = max(1, int(len(data) * fraction))
-    charge(float(sample_size), "feature")
+    charge(float(sample_size))
     return float(np.mean(data[:sample_size]))
 
 

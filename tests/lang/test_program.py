@@ -15,7 +15,7 @@ def make_toy_program(with_accuracy: bool = False) -> PetaBricksProgram:
     space = ConfigurationSpace([IntegerParameter("iterations", 1, 10)])
 
     def run(config: Configuration, data):
-        charge(float(config["iterations"]) * len(data), "work")
+        charge(float(config["iterations"]) * len(data))
         return sorted(data)
 
     features = FeatureSet(
