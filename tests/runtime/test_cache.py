@@ -104,23 +104,6 @@ class TestPersistence:
         assert cache.load() == 0
         assert len(cache) == 0
 
-    def test_load_tolerates_corrupt_file(self, tmp_path):
-        """A bad cache file degrades to a cold start (with a warning), never a crash."""
-        path = tmp_path / "cache.json"
-        for garbage in ("not json{{", "[1, 2, 3]", '{"version": 1, "entries": {"k": {}}}'):
-            path.write_text(garbage)
-            cache = RunCache(persist_path=str(path))
-            with pytest.warns(UserWarning, match="corrupt or incompatible"):
-                assert cache.load() == 0
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text('{"version": %d, "entries": {"k": {"time": 1, "accuracy": 1}}}'
-                        % (_FORMAT_VERSION + 1))
-        cache = RunCache(persist_path=str(path))
-        with pytest.warns(UserWarning, match="corrupt or incompatible"):
-            assert cache.load() == 0
-
     def test_json_unsafe_extras_dropped(self, tmp_path):
         path = str(tmp_path / "cache.json")
         cache = RunCache(persist_path=path)
@@ -440,63 +423,37 @@ class TestShardedStore:
         assert len(lazy) == 0
 
 
-class TestLegacyMigration:
-    """One-shot migration of the single-file JSON cache to the sharded store."""
+class TestFileAtStorePath:
+    """A plain file where the sharded store belongs is never read or clobbered."""
 
-    def legacy_file(self, path, entries):
-        payload = {
-            "version": _FORMAT_VERSION,
-            "entries": {
-                key: {"time": time, "accuracy": 1.0} for key, time in entries.items()
-            },
-        }
-        path.write_text(json.dumps(payload))
-
-    def test_legacy_file_loads_and_migrates_in_place(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(
+                {"version": _FORMAT_VERSION,
+                 "entries": {"a": {"time": 1.0, "accuracy": 1.0}}}
+            ),
+            json.dumps(
+                {"version": _FORMAT_VERSION + 1,
+                 "entries": {"a": {"time": 1.0, "accuracy": 1.0}}}
+            ),
+            "not json{{",
+            "[1, 2, 3]",
+        ],
+        ids=["entry-table", "unknown-version", "garbage", "wrong-shape"],
+    )
+    def test_file_warns_and_cold_starts(self, tmp_path, content):
         path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0, "b": 2.0, "c": 3.0})
+        path.write_text(content)
         cache = RunCache(persist_path=str(path))
-        assert cache.load() == 3
-        assert cache.get("a").time == 1.0
-        # The file has become a sharded store directory at the same path.
-        assert os.path.isdir(path)
-        assert os.path.isfile(path / _META_NAME)
-        fresh = RunCache(persist_path=str(path))
-        assert fresh.load() == 3
-        assert fresh.get("b").time == 2.0
-
-    def test_migrated_store_keeps_accepting_saves(self, tmp_path):
-        path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0})
-        cache = RunCache(persist_path=str(path))
-        cache.load()
-        cache.put("new", result(time=9.0), has_output=False)
-        cache.save()
-        fresh = RunCache(persist_path=str(path))
-        assert fresh.load() == 2
-        assert fresh.get("a").time == 1.0
-        assert fresh.get("new").time == 9.0
-
-    def test_migration_failure_still_loads_entries(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0, "b": 2.0})
-
-        def broken_rename(*_args, **_kwargs):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "rename", broken_rename)
-        cache = RunCache(persist_path=str(path))
-        with pytest.warns(UserWarning, match="could not migrate"):
-            assert cache.load() == 2
-        assert cache.get("a").time == 1.0  # entries usable despite migration failing
-        assert os.path.isfile(path)  # legacy file left untouched
-        # A later save() must degrade gracefully too -- the store path is
-        # still occupied by the legacy file -- not crash the run or clobber
-        # the file with a directory.
+        with pytest.warns(UserWarning, match="is a file"):
+            assert cache.load() == 0
+        assert cache.get("a") is None
+        # save() refuses to replace the file with a store directory.
         cache.put("fresh", result(time=5.0), has_output=False)
         with pytest.warns(UserWarning, match="is a file"):
             assert cache.save() == 0
-        assert os.path.isfile(path)
+        assert path.read_text() == content
 
 
 class TestCappedCacheWithStore:
