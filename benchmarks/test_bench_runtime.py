@@ -186,7 +186,8 @@ def test_streaming_peak_memory(benchmark):
             runtime.close()
         return measured, peak
 
-    full, full_peak = measure_with_peak(None)
+    # One chunk holding the whole batch vs. chunks of 32 pairs.
+    full, full_peak = measure_with_peak(n_inputs * len(configs))
     chunked, chunk_peak = measure_with_peak(32)
     np.testing.assert_array_equal(full["times"], chunked["times"])
     np.testing.assert_array_equal(full["accuracies"], chunked["accuracies"])

@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.benchmarks_suite import registry
-from repro.runtime import EXECUTORS
+from repro.runtime import DEFAULT_BATCH_CHUNK, EXECUTORS
 from repro.experiments.figure7 import model_figure7a, model_figure7b
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
@@ -89,14 +89,15 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-path",
         default=None,
         help="sharded store (directory) to load/persist run measurements "
-        "across invocations; a legacy single-file cache migrates in place",
+        "across invocations",
     )
     parser.add_argument(
         "--batch-chunk",
         type=int,
         default=_env_batch_chunk(),
         help="stream measurement/task batches in chunks of this many items "
-        "(bounds peak memory; results are bit-identical)",
+        f"(default {DEFAULT_BATCH_CHUNK}; bounds peak memory; results are "
+        "bit-identical)",
     )
     parser.add_argument(
         "--cache-max-entries",
@@ -140,7 +141,10 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
     print("\nruntime statistics:")
     print(f"  executor: {stats.get('executor')}")
     if "executor_fallback" in stats:
-        print(f"  executor fallback: {stats['executor_fallback']}")
+        print(
+            f"  executor fallback: {stats['executor_fallback']} "
+            f"({stats.get('executor_fallbacks', 0)} batch(es) ran serially)"
+        )
     cache = stats.get("cache")
     if cache:
         extras = ""
@@ -176,13 +180,8 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
             f"{counters.get('tasks_executed', 0)} executed, "
             f"{counters.get('task_cache_hits', 0)} cache hits"
         )
-    if counters.get("worker_cache_hits"):
-        print(
-            f"  worker caches: {counters['worker_cache_hits']} hit(s) on "
-            "distributed workers"
-        )
     if counters.get("chunks_dispatched"):
-        print(f"  streaming: {counters['chunks_dispatched']} chunk(s) dispatched")
+        print(f"  dispatch: {counters['chunks_dispatched']} chunk(s)")
     if counters.get("inputs_generated"):
         print(f"  inputs: {counters['inputs_generated']} lazily generated")
     for name, phase in sorted(telemetry.get("phases", {}).items()):

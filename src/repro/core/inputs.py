@@ -217,18 +217,6 @@ class ObservedInputSource(InputSource):
         self._observer(time.perf_counter() - start)
         return item
 
-    def __reduce__(self):
-        # The observer is a closure over live telemetry and cannot (and
-        # should not) cross a process boundary; a pickled copy -- e.g. the
-        # input-source descriptor shipped to distributed workers -- observes
-        # silently.  Materialized values are identical either way; only the
-        # parent-side timing attribution is local.
-        return (ObservedInputSource, (self._base, _silent_observer))
-
-
-def _silent_observer(_seconds: float) -> None:
-    """No-op observer installed when an :class:`ObservedInputSource` is unpickled."""
-
 
 def ensure_source(inputs: Any) -> InputSource:
     """Normalize a list or source to an :class:`InputSource`."""

@@ -229,10 +229,10 @@ def measure_performance(
     The N x K matrix is submitted to the measurement runtime as one logical
     batch, so a parallel executor can spread the runs across workers and a
     shared cache can recall measurements already taken (e.g. by the
-    autotuner or an earlier experiment).  When the runtime has a
-    ``batch_chunk`` configured, the batch streams through in content-ordered
-    chunks -- at the paper's 50-60k-input scale the task list never has to
-    exist in memory at once -- with bit-identical results either way.
+    autotuner or an earlier experiment).  The batch streams through in
+    content-ordered chunks of the runtime's ``batch_chunk`` -- at the
+    paper's 50-60k-input scale the task list never has to exist in memory
+    at once -- with results bit-identical to one whole-batch dispatch.
     """
     runtime = runtime if runtime is not None else default_runtime()
     n, k = len(inputs), len(landmarks)

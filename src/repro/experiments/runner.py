@@ -54,8 +54,8 @@ def _env_batch_chunk() -> Optional[int]:
     """``REPRO_BATCH_CHUNK`` as an int, or None when unset/unusable.
 
     Shared by ``ExperimentConfig`` and the CLI's ``--batch-chunk`` default;
-    a malformed value degrades to "no chunking" with a warning instead of
-    crashing before any useful output.
+    a malformed value degrades to the runtime's default chunk size with a
+    warning instead of crashing before any useful output.
     """
     value = os.environ.get("REPRO_BATCH_CHUNK", "").strip()
     if not value:
@@ -112,11 +112,12 @@ class ExperimentConfig:
     evaluations -- so a parallel executor accelerates training end to end,
     with results identical to serial by construction.
 
-    ``batch_chunk`` (``--batch-chunk`` / ``REPRO_BATCH_CHUNK``) enables
-    streaming measurement batches: the N x K1 matrix and the Level-2 task
-    batches are dispatched in chunks of at most this many items, bounding
-    peak memory by O(chunk) on the way to the paper's 50-60k-input regime.
-    Results are bit-identical with or without it, whatever the executor.
+    ``batch_chunk`` (``--batch-chunk`` / ``REPRO_BATCH_CHUNK``; None keeps
+    :data:`repro.runtime.DEFAULT_BATCH_CHUNK`) sizes the streamed
+    measurement batches: the N x K1 matrix and the Level-2 task batches are
+    dispatched in chunks of at most this many items, bounding peak memory
+    by O(chunk) on the way to the paper's 50-60k-input regime.  Results are
+    bit-identical whatever the chunk size and the executor.
 
     The remaining two memory knobs complete that story end to end.
     ``stream_inputs`` (on by default; ``--no-stream-inputs`` /

@@ -23,12 +23,13 @@ from repro.runtime.keys import (
     program_fingerprint,
     run_key,
 )
-from repro.runtime.runtime import Runtime, default_runtime
+from repro.runtime.runtime import DEFAULT_BATCH_CHUNK, Runtime, default_runtime
 from repro.runtime.tasks import TaskCache, TaskSpec
 from repro.runtime.telemetry import PhaseStats, Telemetry
 
 __all__ = [
     "BaseExecutor",
+    "DEFAULT_BATCH_CHUNK",
     "CacheEntry",
     "Coordinator",
     "DistributedExecutor",

@@ -16,11 +16,9 @@ Wire protocol (see ``docs/architecture.md`` for the lifecycle diagram):
 newline-delimited JSON messages; Python payloads ride in a ``payload``
 field as base64-encoded pickles.  Workers pull: after ``hello`` (and after
 finishing each lease) a worker is idle, and the coordinator assigns it the
-next pending chunk.  A batch's shared content -- the program, the shared-
-argument registry, or a ``(program, configs, input source)`` triple -- is
-shipped once per worker per batch in a ``context`` message; leases then
-carry only their chunk (a task list, or a row range of descriptors that the
-worker materializes itself).
+next pending chunk.  A batch's shared content -- the program or the shared-
+argument registry -- is shipped once per worker per batch in a ``context``
+message; leases then carry only their chunk of tasks.
 
 Fault tolerance: every lease carries a deadline.  A worker death (socket
 EOF, or a spawned process observed dead) or a deadline expiry requeues the
@@ -32,19 +30,18 @@ already reassigned -- can never change a value, only who computed it.
 Telemetry counters (``leases_issued``, ``leases_reassigned``,
 ``worker_deaths``, ...) surface through ``Runtime.stats()['distributed']``.
 
-Three lease kinds cover the runtime's dispatch shapes:
+Two lease kinds cover the runtime's dispatch shapes:
 
 * ``"pairs"``   -- context = program; chunk = ``[(config, input), ...]``;
-  result = the pickled :class:`~repro.lang.program.RunResult` list.
+  result = the output-free :class:`~repro.lang.program.RunResult` list.
+  ``Runtime.measure`` streams its N x K matrix through this kind like
+  every other executor does.
 * ``"calls"``   -- context = shared-argument registry; chunk = a list of
   ``(fn, args, kwargs)`` call tasks; result = their return values.
-* ``"rows"``    -- context = ``(program, configs, source)``; chunk =
-  ``(start, stop)`` row range.  The worker materializes its own inputs
-  from the source (the PR-4 descriptor: a few hundred bytes, not the
-  inputs), executes through a worker-local :class:`~repro.runtime.cache.
-  RunCache`, and streams back ``(run_key, time, accuracy, extra)``
-  entries that the coordinator's runtime folds into the measurement
-  matrix *and* its sharded cache store.
+
+Workers keep no run cache: deduplication and persistence belong to the
+coordinator's :class:`~repro.runtime.Runtime`, so a cache-less runtime
+executes every requested run on every executor.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.program import PetaBricksProgram, RunResult
 from repro.resilience.faults import FaultError, fault_site
@@ -583,6 +580,7 @@ class DistributedExecutor(BaseExecutor):
     Attributes:
         fallback_reason: set when a batch had to run serially because its
             content could not be pickled across the socket; None otherwise.
+            ``fallbacks`` counts those batches.
 
     Note: ``run_batch`` results come back *output-free* (workers strip the
     program output before shipping, exactly as the measurement cache does);
@@ -591,10 +589,6 @@ class DistributedExecutor(BaseExecutor):
     """
 
     name = "distributed"
-
-    #: Tells :meth:`repro.runtime.Runtime.measure` that this executor can
-    #: take a ``(program, configs, source)`` descriptor batch directly.
-    supports_input_sources = True
 
     def __init__(
         self,
@@ -611,7 +605,6 @@ class DistributedExecutor(BaseExecutor):
         self.socket_timeout = socket_timeout
         self.join_timeout = join_timeout
         self.port = int(port)
-        self.fallback_reason: Optional[str] = None
         self._coordinator: Optional[Coordinator] = None
 
     @property
@@ -640,58 +633,43 @@ class DistributedExecutor(BaseExecutor):
             return {}
         return dict(self._coordinator.counters)
 
-    def _picklable(self, *objects: Any) -> bool:
+    def _lease(
+        self,
+        kind: str,
+        context: Any,
+        items: Sequence[Any],
+        serial: Callable[[], List[Any]],
+    ) -> List[Any]:
+        """Lease ``items`` in chunks with ``context``; serial if unshippable."""
+        if not items:
+            return []
         try:
-            for obj in objects:
-                pickle.dumps(obj)
-            return True
+            pickle.dumps(context)
+            pickle.dumps(items[0])
         except Exception as error:
-            self.fallback_reason = f"not picklable: {type(error).__name__}"
-            return False
+            return self._fall_back(f"not picklable: {type(error).__name__}", serial)
+        size = _call_chunksize(len(items), max(1, self.workers))
+        chunks = self.coordinator.run_leases(kind, context, _partition(items, size))
+        return [result for chunk in chunks for result in chunk]
 
     def run_batch(
         self, program: PetaBricksProgram, tasks: Sequence[Task]
     ) -> List[RunResult]:
-        if not tasks:
-            return []
-        if not self._picklable(program, tasks[0]):
-            return SerialExecutor().run_batch(program, tasks)
-        size = _call_chunksize(len(tasks), max(1, self.workers))
-        chunks = self.coordinator.run_leases("pairs", program, _partition(tasks, size))
-        return [result for chunk in chunks for result in chunk]
+        return self._lease(
+            "pairs", program, tasks, lambda: SerialExecutor().run_batch(program, tasks)
+        )
 
     def run_calls(
         self,
         calls: Sequence[CallTask],
         shared: Optional[Dict[str, Any]] = None,
     ) -> List[Any]:
-        if not calls:
-            return []
         shared = shared or {}
-        if not self._picklable(calls[0], shared):
-            return SerialExecutor().run_calls(calls, shared=shared)
-        size = _call_chunksize(len(calls), max(1, self.workers))
-        chunks = self.coordinator.run_leases("calls", shared, _partition(calls, size))
-        return [result for chunk in chunks for result in chunk]
-
-    def run_rows(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Any],
-        source: Any,
-        row_ranges: Sequence[Tuple[int, int]],
-    ) -> List[Dict[str, Any]]:
-        """Execute descriptor row-range leases (the streaming measure path).
-
-        Each returned element matches its row range and is a dict with
-        ``entries`` (one ``(run_key, time, accuracy, extra)`` tuple per
-        (row, config) pair, row-major) and ``cache_hits`` (how many of them
-        the worker's local cache answered).  The caller must have verified
-        picklability of ``(program, configs, source)`` beforehand
-        (``Runtime.measure`` does, falling back to the pair path).
-        """
-        return self.coordinator.run_leases(
-            "rows", (program, list(configs), source), list(row_ranges)
+        return self._lease(
+            "calls",
+            shared,
+            calls,
+            lambda: SerialExecutor().run_calls(calls, shared=shared),
         )
 
     def close(self) -> None:

@@ -29,19 +29,12 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.config import Configuration
 from repro.lang.program import PetaBricksProgram, RunResult
-from repro.resilience.faults import install_from_env, maybe_fail
+from repro.resilience.faults import install_from_env
 from repro.resilience.retry import RetryPolicy
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shm_module
-except ImportError:  # pragma: no cover - minimal builds without _posixshmem
-    _shm_module = None  # type: ignore[assignment]
 
 #: A single unit of work: run the program with this configuration on this input.
 Task = Tuple[Configuration, Any]
@@ -129,6 +122,18 @@ class BaseExecutor:
 
     #: Short strategy name used in flags and telemetry.
     name: str = "base"
+
+    #: Why the latest serial fallback happened; None while none has.
+    fallback_reason: Optional[str] = None
+
+    #: Batches that ran serially in the parent instead of on the workers.
+    fallbacks: int = 0
+
+    def _fall_back(self, reason: str, serial: Callable[[], List[Any]]) -> List[Any]:
+        """Record a serial fallback, then run the batch in-process."""
+        self.fallback_reason = reason
+        self.fallbacks += 1
+        return serial()
 
     def run_batch(
         self, program: PetaBricksProgram, tasks: Sequence[Task]
@@ -270,76 +275,6 @@ def _process_worker_run(task: Task) -> RunResult:
     return _WORKER_PROGRAM.run(config, program_input)
 
 
-def _unregister_shm(segment: Any) -> None:
-    """Drop an attach-time resource-tracker registration.
-
-    On POSIX (through Python 3.12) *attaching* to a shared-memory segment
-    registers it with the process's resource tracker just like creating it
-    does.  The parent created the segment and owns the unlink, so the
-    bookkeeping depends on the start method:
-
-    * fork (the Linux default): workers inherit the parent's tracker, whose
-      name set deduplicates all the attach registrations -- the creator's
-      ``unlink`` is the single balanced removal, and a worker-side
-      unregister would race it into KeyErrors.  Do nothing.
-    * spawn/forkserver: each worker runs its own tracker, which would try
-      to unlink the (already removed) segment at pool shutdown and print
-      leak warnings.  Unregister after closing.
-    """
-    try:
-        import multiprocessing
-
-        if multiprocessing.get_start_method() == "fork":
-            return
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations across platforms
-        pass
-
-
-#: A lease of measurement work: ``(start, tasks, shm_name, total)`` where
-#: ``start`` is the flat offset of the first task in the dispatch and
-#: ``shm_name`` names a parent-created ``(2, total)`` float64 block (times
-#: row 0, accuracies row 1), or None when shared memory is unavailable.
-MeasureLease = Tuple[int, Sequence[Task], Optional[str], int]
-
-
-def _process_worker_measure(lease: MeasureLease) -> Tuple[str, int, Optional[Any]]:
-    """Run one lease of measurement tasks, shipping results via shared memory.
-
-    The result matrix slice is written directly into the parent-created
-    shared block, so the return value is a few bytes -- ``("shm", start,
-    None)`` -- instead of one pickled :class:`RunResult` per task.  When the
-    block is unavailable (no shared memory on this platform, or the attach
-    failed) the slice comes back pickled as ``("data", start, block)``.
-    """
-    assert _WORKER_PROGRAM is not None, "worker pool used before initialization"
-    program = _WORKER_PROGRAM
-    start, tasks, shm_name, total = lease
-    block = np.empty((2, len(tasks)), dtype=np.float64)
-    for index, (config, program_input) in enumerate(tasks):
-        result = program.run(config, program_input)
-        block[0, index] = result.time
-        block[1, index] = result.accuracy
-    if shm_name is not None and _shm_module is not None:
-        try:
-            # Fault site: an attach failure must degrade to the pickled
-            # path, never lose the lease's results.
-            maybe_fail("shm.attach", detail=shm_name)
-            segment = _shm_module.SharedMemory(name=shm_name)
-        except Exception:
-            return ("data", start, block)
-        try:
-            matrix = np.ndarray((2, total), dtype=np.float64, buffer=segment.buf)
-            matrix[:, start : start + len(tasks)] = block
-        finally:
-            segment.close()
-            _unregister_shm(segment)
-        return ("shm", start, None)
-    return ("data", start, block)
-
-
 class ProcessExecutor(BaseExecutor):
     """Run tasks on a process pool, falling back to serial when pickling fails.
 
@@ -347,9 +282,10 @@ class ProcessExecutor(BaseExecutor):
         workers: pool size; defaults to the CPU count.
 
     Attributes:
-        fallback_reason: set to a short description the first time a batch
+        fallback_reason: set to a short description the latest time a batch
             had to run serially because the program or its tasks could not
-            be pickled (or the pool broke); None while the pool is healthy.
+            be pickled (or the pool broke twice); None while the pool is
+            healthy.  ``fallbacks`` counts those batches.
         retry_policy: the :class:`~repro.resilience.retry.RetryPolicy`
             governing broken-pool resubmission -- one rebuild-and-retry by
             default, matching the historical behaviour.
@@ -361,7 +297,6 @@ class ProcessExecutor(BaseExecutor):
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers or _default_workers()
-        self.fallback_reason: Optional[str] = None
         self.retry_policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         self.retry_counters: Dict[str, int] = {}
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
@@ -394,15 +329,11 @@ class ProcessExecutor(BaseExecutor):
 
     def _pool_for(
         self, program: PetaBricksProgram
-    ) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        """A pool initialized with ``program``, or None if it cannot be shipped."""
+    ) -> concurrent.futures.ProcessPoolExecutor:
+        """A pool initialized with ``program``; raises if it cannot be shipped."""
         if self._pool is not None and self._pool_program is program:
             return self._pool
-        try:
-            pickle.dumps(program)
-        except Exception as error:
-            self.fallback_reason = f"program not picklable: {type(error).__name__}"
-            return None
+        pickle.dumps(program)
         # A program switch means a new experiment; the old shared registry
         # is dead weight, so the new pool starts with an empty one.
         return self._rebuild_pool(program, {})
@@ -428,219 +359,91 @@ class ProcessExecutor(BaseExecutor):
             for token, value in shared.items()
         )
 
+    def _map(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        pool: Callable[[], concurrent.futures.ProcessPoolExecutor],
+        serial: Callable[[], List[Any]],
+    ) -> List[Any]:
+        """Map ``fn`` over ``items`` on ``pool()``, falling back to ``serial()``.
+
+        The one dispatch routine behind :meth:`run_batch` and
+        :meth:`run_calls`; every batch it cannot ship runs serially and
+        bumps :attr:`fallbacks`.
+        """
+        if not items:
+            return []
+        # The probe is the primary fallback detector: batches are homogeneous
+        # in practice, so an unpicklable program or first item (a closure
+        # factory, say) means the batch belongs on the serial path.  Errors
+        # raised *by* a task in a worker are then never mistaken for
+        # pickling failures -- only a genuine mid-batch PicklingError still
+        # falls back below.
+        try:
+            pickle.dumps(items[0])
+            pool()
+        except Exception as error:
+            return self._fall_back(f"not picklable: {type(error).__name__}", serial)
+        # Chunking matters beyond message overhead: a chunk is pickled as one
+        # object, so large per-chunk arguments shared by its items cross the
+        # process boundary once per chunk instead of once per item, via the
+        # pickle memo.  (The program and registry-shared arguments do even
+        # better: they ride the pool initializer and cross once per pool.)
+        chunksize = _call_chunksize(len(items), self.workers)
+
+        def attempt() -> List[Any]:
+            try:
+                results = pool().map(fn, items, chunksize=chunksize)
+            except (TypeError, AttributeError) as error:
+                # Submission is eager and runs no task (under a spawn start
+                # method it pickles the initializer's program/registry), so
+                # an error here is transport, never a task's own exception.
+                raise pickle.PicklingError(f"{type(error).__name__}: {error}") from error
+            # During result iteration only a genuine PicklingError is
+            # transport: a task-raised TypeError must propagate as-is, not
+            # trigger a misleading serial re-run.
+            return list(results)
+
+        try:
+            # A worker death surfaces as BrokenProcessPool; the retry policy
+            # tears the pool down (_on_pool_break) and reruns the batch on a
+            # fresh one -- runs are pure, so re-execution is sound -- before
+            # giving up to the serial path.
+            return self.retry_policy.run(
+                attempt,
+                retryable=(concurrent.futures.process.BrokenProcessPool,),
+                before_retry=self._on_pool_break,
+                counters=self.retry_counters,
+            )
+        except pickle.PicklingError as error:
+            return self._fall_back(f"batch not picklable: {error}", serial)
+        except concurrent.futures.process.BrokenProcessPool as error:
+            self._shutdown_pool()
+            return self._fall_back(f"process pool broke: {error}", serial)
+
     def run_calls(
         self,
         calls: Sequence[CallTask],
         shared: Optional[Dict[str, Any]] = None,
     ) -> List[Any]:
-        if not calls:
-            return []
         shared = shared or {}
-        # The probe is the primary fallback detector: batches are homogeneous
-        # in practice, so an unpicklable first call (a closure factory, say)
-        # means the batch belongs on the serial path.  Errors raised *by* a
-        # task in a worker are then never mistaken for pickling failures --
-        # only a genuine mid-batch PicklingError still falls back below.
-        try:
-            pickle.dumps(calls[0])
-        except Exception as error:
-            self.fallback_reason = f"call not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        # Chunking matters beyond message overhead: a chunk is pickled as one
-        # object, so large per-chunk arguments shared by its calls cross the
-        # process boundary once per chunk instead of once per call, via the
-        # pickle memo.  (Registry-shared arguments do even better: they ride
-        # the pool initializer and cross once per pool.)
-        chunksize = _call_chunksize(len(calls), self.workers)
-
-        def submit() -> Any:
-            # Submission is eager: worker spawn (which, under a spawn start
-            # method, pickles the initializer's program/shared registry)
-            # happens here, so transport errors raised at this point are
-            # never a task's own exception...
-            return self._calls_pool(shared).map(
-                _invoke_call, calls, chunksize=chunksize
-            )
-
-        try:
-            # A worker death between batches surfaces as BrokenProcessPool at
-            # submission; the retry policy tears the pool down (_on_pool_break)
-            # and resubmits on a fresh one before giving up to the serial path.
-            result_iterator = self.retry_policy.run(
-                submit,
-                retryable=(concurrent.futures.process.BrokenProcessPool,),
-                before_retry=self._on_pool_break,
-                counters=self.retry_counters,
-            )
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            self.fallback_reason = f"call batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_calls(calls, shared=shared)
-        try:
-            # ...whereas during result iteration only a genuine
-            # PicklingError is transport: a task-raised TypeError must
-            # propagate as-is, not trigger a misleading serial re-run.
-            return list(result_iterator)
-        except pickle.PicklingError as error:
-            self.fallback_reason = f"call batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_calls(calls, shared=shared)
+        return self._map(
+            _invoke_call,
+            calls,
+            lambda: self._calls_pool(shared),
+            lambda: SerialExecutor().run_calls(calls, shared=shared),
+        )
 
     def run_batch(
         self, program: PetaBricksProgram, tasks: Sequence[Task]
     ) -> List[RunResult]:
-        if not tasks:
-            return []
-        pool = self._pool_for(program)
-        if pool is None:
-            return SerialExecutor().run_batch(program, tasks)
-        try:
-            pickle.dumps(tasks[0])
-        except Exception as error:
-            self.fallback_reason = f"task not picklable: {type(error).__name__}"
-            return SerialExecutor().run_batch(program, tasks)
-        def submit() -> List[RunResult]:
-            # A break at submission time (worker died between batches)
-            # leaves the tasks unexecuted: the retry rebuilds the pool --
-            # with the program initializer re-registered -- and resubmits.
-            # A break *during* execution re-runs the batch too; runs are
-            # pure functions of their tasks, so re-execution is sound.
-            submit_pool = self._pool_for(program)
-            if submit_pool is None:
-                raise concurrent.futures.process.BrokenProcessPool(
-                    "pool unavailable after rebuild"
-                )
-            return list(submit_pool.map(_process_worker_run, tasks))
-
-        try:
-            return self.retry_policy.run(
-                submit,
-                retryable=(concurrent.futures.process.BrokenProcessPool,),
-                before_retry=self._on_pool_break,
-                counters=self.retry_counters,
-            )
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            self.fallback_reason = f"batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_batch(program, tasks)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_batch(program, tasks)
-
-    def run_measure(
-        self,
-        program: PetaBricksProgram,
-        tasks: Sequence[Task],
-        columns: int = 1,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Execute measurement tasks, returning ``(times, accuracies)`` arrays.
-
-        The matrix counterpart of :meth:`run_batch` for callers that only
-        need the two floats of each run (:meth:`repro.runtime.Runtime.
-        measure`): the parent allocates one ``(2, len(tasks))`` float64
-        shared-memory block per dispatch, workers write their lease's slice
-        directly into it, and the pool's return traffic shrinks to a
-        per-lease acknowledgement instead of a pickled
-        :class:`~repro.lang.program.RunResult` per task.  When shared
-        memory is unavailable (platform without ``_posixshmem``, exhausted
-        ``/dev/shm``) every lease transparently returns its slice pickled.
-
-        ``columns`` is the measurement matrix's K; leases are aligned to
-        whole rows so each worker fills contiguous ``(rows, K)`` blocks.
-
-        Returns None -- with nothing executed -- when the program or tasks
-        cannot be shipped to workers; the caller should fall back to
-        :meth:`run_batch` (whose serial fallback handles that case).  A
-        pool that breaks mid-dispatch is rebuilt and the dispatch retried
-        once (runs are pure, so re-execution is sound); a second break
-        finishes the batch serially.
-        """
-        if not tasks:
-            return np.empty(0), np.empty(0)
-        pool = self._pool_for(program)
-        if pool is None:
-            return None
-        try:
-            pickle.dumps(tasks[0])
-        except Exception as error:
-            self.fallback_reason = f"task not picklable: {type(error).__name__}"
-            return None
-
-        total = len(tasks)
-        columns = max(1, columns)
-        rows = max(1, total // columns)
-        lease_tasks = _call_chunksize(rows, self.workers) * columns
-        segment = None
-        shm_name: Optional[str] = None
-        if _shm_module is not None:
-            try:
-                segment = _shm_module.SharedMemory(
-                    create=True, size=2 * total * np.dtype(np.float64).itemsize
-                )
-                shm_name = segment.name
-            except Exception:  # exhausted /dev/shm etc: pickled fallback
-                segment = None
-        try:
-            leases: List[MeasureLease] = [
-                (start, tasks[start : start + lease_tasks], shm_name, total)
-                for start in range(0, total, lease_tasks)
-            ]
-            def submit() -> List[Tuple[str, int, Optional[Any]]]:
-                submit_pool = self._pool_for(program)
-                if submit_pool is None:
-                    raise concurrent.futures.process.BrokenProcessPool(
-                        "pool unavailable after rebuild"
-                    )
-                return list(
-                    submit_pool.map(_process_worker_measure, leases, chunksize=1)
-                )
-
-            answers: Optional[List[Tuple[str, int, Optional[Any]]]] = None
-            try:
-                answers = self.retry_policy.run(
-                    submit,
-                    retryable=(concurrent.futures.process.BrokenProcessPool,),
-                    before_retry=self._on_pool_break,
-                    counters=self.retry_counters,
-                )
-            except (pickle.PicklingError, TypeError, AttributeError) as error:
-                self.fallback_reason = f"batch not picklable: {type(error).__name__}"
-            except concurrent.futures.process.BrokenProcessPool as error:
-                self.fallback_reason = f"process pool broke: {error}"
-                self._shutdown_pool()
-            if answers is None:
-                # Transport failed after the probe succeeded (broken pool
-                # twice, or a pathological mid-batch pickling error): finish
-                # the whole dispatch serially.  Runs are pure, so any work a
-                # half-finished attempt did is simply recomputed.
-                serial = SerialExecutor().run_batch(program, tasks)
-                times = np.fromiter(
-                    (r.time for r in serial), dtype=np.float64, count=total
-                )
-                accuracies = np.fromiter(
-                    (r.accuracy for r in serial), dtype=np.float64, count=total
-                )
-                return times, accuracies
-            if segment is not None:
-                matrix = np.ndarray(
-                    (2, total), dtype=np.float64, buffer=segment.buf
-                )
-            else:
-                matrix = np.empty((2, total), dtype=np.float64)
-            for kind, start, block in answers:
-                if kind == "data":
-                    matrix[:, start : start + block.shape[1]] = block
-            return matrix[0].copy(), matrix[1].copy()
-        finally:
-            if segment is not None:
-                segment.close()
-                segment.unlink()
+        return self._map(
+            _process_worker_run,
+            tasks,
+            lambda: self._pool_for(program),
+            lambda: SerialExecutor().run_batch(program, tasks),
+        )
 
     def _shutdown_pool(self) -> None:
         if self._pool is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import pickle
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +41,12 @@ def _strip_output(result: RunResult) -> RunResult:
     )
 
 
+#: Default streaming chunk size: large enough that no batch at the
+#: repository's benchmark sizes is split, small enough to bound the
+#: transient footprint of a paper-scale (50k x K1) measurement matrix.
+DEFAULT_BATCH_CHUNK = 4096
+
+
 class Runtime:
     """Shared execution runtime for all program measurements.
 
@@ -53,13 +58,13 @@ class Runtime:
         task_cache: memo for generalized task results (see
             :meth:`run_tasks`).  When omitted, one is created whenever a run
             cache is present, so a caching runtime also memoizes keyed tasks.
-        batch_chunk: streaming chunk size.  ``None`` (default) keeps the
-            legacy all-at-once batches; a positive value makes
-            :meth:`run_pairs` / :meth:`run_tasks` / :meth:`measure` process
-            batches in chunks of at most this many items, bounding peak
-            memory by O(chunk) instead of O(batch) while producing
-            bit-identical results (chunks preserve enumeration order, and
-            chunk-local cache fills stand in for whole-batch deduplication).
+        batch_chunk: streaming chunk size; None selects
+            :data:`DEFAULT_BATCH_CHUNK`.  :meth:`run_pairs` /
+            :meth:`run_tasks` / :meth:`measure` process batches in chunks of
+            at most this many items, bounding peak memory by O(chunk)
+            instead of O(batch) while producing bit-identical results
+            (chunks preserve enumeration order, and chunk-local cache fills
+            stand in for whole-batch deduplication).
     """
 
     #: Default entry cap for the auto-created task cache; task results
@@ -75,8 +80,10 @@ class Runtime:
         task_cache: Optional[TaskCache] = None,
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if batch_chunk is not None and batch_chunk < 1:
-            raise ValueError("batch_chunk must be >= 1 or None")
+        if batch_chunk is None:
+            batch_chunk = DEFAULT_BATCH_CHUNK
+        if batch_chunk < 1:
+            raise ValueError("batch_chunk must be >= 1")
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -103,14 +110,13 @@ class Runtime:
         """Build a runtime from flag-style settings.
 
         When ``cache_path`` is given, previously persisted measurements are
-        attached immediately (missing stores are fine; a legacy single-file
-        cache is migrated to the sharded layout); call :meth:`save_cache`
+        attached immediately (missing stores are fine); call :meth:`save_cache`
         after a run to persist the updated cache.  ``use_cache=False``
         disables caching outright -- including any persisted store -- so
-        every measurement demonstrably re-executes.  ``batch_chunk`` enables
-        streaming batches (see the class docstring).  ``max_entries`` caps
-        the in-memory run cache (``None`` = unbounded); the default keeps a
-        50k-input experiment's cache at tens of MB -- see
+        every measurement demonstrably re-executes.  ``batch_chunk`` sets
+        the streaming chunk size (see the class docstring).  ``max_entries``
+        caps the in-memory run cache (``None`` = unbounded); the default
+        keeps a 50k-input experiment's cache at tens of MB -- see
         :attr:`RunCache.DEFAULT_MAX_ENTRIES` -- and with a sharded store
         attached, evicted entries remain reachable from disk.
         """
@@ -185,9 +191,8 @@ class Runtime:
         """Execute a batch of (configuration, input) tasks, in order.
 
         Cache hits are recalled, identical tasks within a dispatch execute
-        once, and the remaining misses go through the executor.  With
-        :attr:`batch_chunk` set the batch is dispatched in content-ordered
-        chunks (see :meth:`iter_pairs`); results are identical either way.
+        once, and the remaining misses go through the executor in
+        content-ordered chunks (see :meth:`iter_pairs`).
         """
         return list(self.iter_pairs(program, pairs))
 
@@ -196,26 +201,18 @@ class Runtime:
     ) -> Iterator[RunResult]:
         """Stream results for a batch of (configuration, input) tasks, in order.
 
-        The streaming core of :meth:`run_pairs` and :meth:`measure`: with
-        :attr:`batch_chunk` set, ``pairs`` is consumed lazily in chunks of at
-        most that many tasks -- each chunk is cache-checked, dispatched, and
-        folded into the cache before the next chunk is even built -- so a
-        50k x K1 measurement matrix never exists as one in-memory task list.
-        Without a chunk size the whole batch is dispatched at once (legacy
-        behaviour).  Enumeration order, and therefore every yielded result,
-        is bit-identical in both modes: duplicates that whole-batch dispatch
-        would deduplicate in-batch are instead answered by the cache entries
-        the earlier chunk just filled.
+        The streaming core of :meth:`run_pairs` and :meth:`measure`:
+        ``pairs`` is consumed lazily in chunks of at most
+        :attr:`batch_chunk` tasks -- each chunk is cache-checked, dispatched,
+        and folded into the cache before the next chunk is even built -- so
+        a 50k x K1 measurement matrix never exists as one in-memory task
+        list.  Every yielded result is bit-identical to whole-batch
+        dispatch: duplicates that one dispatch would deduplicate in-batch
+        are instead answered by the cache entries the earlier chunk filled.
         """
-        chunk = self.batch_chunk
-        if not chunk:
-            materialized = pairs if isinstance(pairs, Sequence) else list(pairs)
-            yield from self._dispatch_pairs(program, materialized)
-            self._chunk_completed()
-            return
         iterator = iter(pairs)
         while True:
-            piece = list(itertools.islice(iterator, chunk))
+            piece = list(itertools.islice(iterator, self.batch_chunk))
             if not piece:
                 return
             self.telemetry.count("chunks_dispatched")
@@ -237,7 +234,7 @@ class Runtime:
     def _dispatch_pairs(
         self, program: PetaBricksProgram, pairs: Sequence[Task]
     ) -> List[RunResult]:
-        """Cache-check and execute one dispatch unit (a whole batch or chunk)."""
+        """Cache-check and execute one chunk."""
         self.telemetry.count("runs_requested", len(pairs))
         if self.cache is None:
             results = self.executor.run_batch(program, pairs)
@@ -310,9 +307,9 @@ class Runtime:
         exact sequence the equivalent serial loop would have produced --
         this is what keeps parallel searches (e.g. Level 2's classifier
         zoo) deterministic: candidates are compared in enumeration order,
-        a key independent of completion order.  With :attr:`batch_chunk`
-        set, the batch is dispatched chunk by chunk; duplicate keys across
-        chunks are answered by the task-cache entries earlier chunks
+        a key independent of completion order.  A batch larger than
+        :attr:`batch_chunk` is dispatched chunk by chunk; duplicate keys
+        across chunks are answered by the task-cache entries earlier chunks
         filled, so results stay identical to whole-batch dispatch.
 
         Args:
@@ -327,7 +324,7 @@ class Runtime:
         scope = self.telemetry.phase(phase) if phase else contextlib.nullcontext()
         with scope:
             chunk = self.batch_chunk
-            if not chunk or len(specs) <= chunk:
+            if len(specs) <= chunk:
                 return self._run_tasks(specs, shared)
             results: List[Any] = []
             for start in range(0, len(specs), chunk):
@@ -399,27 +396,18 @@ class Runtime:
         straight into the output arrays.  Input-major order matters for
         lazily generated inputs (:mod:`repro.core.inputs`): each input is
         materialized exactly once and shared by its K adjacent tasks, so a
-        full matrix costs N materializations -- not N x K -- and with
-        :attr:`batch_chunk` set only ~chunk/K inputs are ever in flight.
+        full matrix costs N materializations -- not N x K -- and only
+        ~batch_chunk/K inputs are ever in flight.
         The matrix itself (two ``(n, k)`` float arrays) is the only
         O(N x K) allocation.  Runs are pure functions of their content, so
         enumeration order never affects any value in the matrices.
 
-        On a cache-less process-executor runtime the batch takes the shared
-        -memory matrix path instead (:meth:`_measure_via_matrix`): workers
-        write ``(rows, K)`` result blocks straight into a parent-owned
-        shared block and whole chunks fold into the matrices by array
-        slicing, replacing one pickled result object per run with two
-        flat float64 rows per dispatch.  Values are bit-identical on every
-        path.
+        Every executor takes this one path: the pairs stream through
+        :meth:`iter_pairs` in :attr:`batch_chunk`-sized dispatches, so the
+        run cache, chunk checkpoints and telemetry see measurement exactly
+        as they see any other batch.
         """
-        if self._rows_distributable(program, configs, inputs):
-            return self._measure_via_descriptors(program, configs, inputs)
         n, k = len(inputs), len(configs)
-        if self._matrix_transportable(program, configs, inputs):
-            matrices = self._measure_via_matrix(program, configs, inputs)
-            if matrices is not None:
-                return matrices
         pairs = (
             (config, program_input) for program_input in inputs for config in configs
         )
@@ -429,155 +417,6 @@ class Runtime:
             i, j = divmod(flat, k)
             times[i, j] = result.time
             accuracies[i, j] = result.accuracy
-        return {"times": times, "accuracies": accuracies}
-
-    def _matrix_transportable(
-        self, program: PetaBricksProgram, configs: Sequence[Configuration], inputs: Any
-    ) -> bool:
-        """Can this measure call use the shared-memory matrix transport?
-
-        Requires an executor exposing ``run_measure`` (the process pool) and
-        a cache-less runtime: a measurement run carries exactly two floats
-        (time, accuracy) beyond its output, so a matrix fully describes the
-        batch -- but a caching runtime must consult and fill the run cache
-        with keyed :class:`RunResult` entries, which the pair path does.
-        """
-        if self.cache is not None:
-            return False
-        if not hasattr(self.executor, "run_measure"):
-            return False
-        return len(inputs) > 0 and len(configs) > 0
-
-    def _measure_via_matrix(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Configuration],
-        inputs: Sequence[Any],
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Process-pool measure: fold shared-memory chunk blocks by slicing.
-
-        Chunks are row-aligned (``batch_chunk // K`` rows, whole batch when
-        streaming is off); the executor returns each chunk's times and
-        accuracies as flat float64 arrays shipped via shared memory, and
-        every chunk lands in the N x K matrices as one slice assignment
-        instead of chunk x K per-element stores.  Returns None -- with
-        nothing executed -- when the executor cannot ship the batch; the
-        caller falls back to the ordinary streamed pair path.
-        """
-        n, k = len(inputs), len(configs)
-        rows_per_chunk = max(1, self.batch_chunk // k) if self.batch_chunk else n
-        times = np.zeros((n, k))
-        accuracies = np.zeros((n, k))
-        flat_times = times.reshape(n * k)
-        flat_accuracies = accuracies.reshape(n * k)
-        for row in range(0, n, rows_per_chunk):
-            stop = min(row + rows_per_chunk, n)
-            piece = [
-                (config, program_input)
-                for program_input in inputs[row:stop]
-                for config in configs
-            ]
-            if self.batch_chunk:
-                self.telemetry.count("chunks_dispatched")
-            chunk = self.executor.run_measure(program, piece, columns=k)
-            if chunk is None:
-                if row == 0:
-                    return None  # nothing ran; the pair path handles fallback
-                # Later chunks of a homogeneous batch should never become
-                # unshippable, but if one does, finish it in-process rather
-                # than re-running the chunks that already executed.
-                results = [program.run(config, value) for config, value in piece]
-                chunk = (
-                    np.fromiter((r.time for r in results), dtype=np.float64),
-                    np.fromiter((r.accuracy for r in results), dtype=np.float64),
-                )
-            start = row * k
-            flat_times[start : start + len(piece)] = chunk[0]
-            flat_accuracies[start : start + len(piece)] = chunk[1]
-            self.telemetry.count("runs_requested", len(piece))
-            self.telemetry.count("runs_executed", len(piece))
-            self._chunk_completed()
-        return {"times": times, "accuracies": accuracies}
-
-    def _rows_distributable(
-        self, program: PetaBricksProgram, configs: Sequence[Configuration], inputs: Any
-    ) -> bool:
-        """Can this measure call ship row descriptors instead of inputs?
-
-        Requires an executor exposing ``run_rows`` (the distributed one), an
-        input *source* (lazy, known length, per-index materialization -- a
-        plain list would force materializing everything just to ship it),
-        and a picklable ``(program, configs, source)`` triple.  Anything
-        else falls back to the ordinary streamed pair path, which is always
-        correct.
-        """
-        if not getattr(self.executor, "supports_input_sources", False):
-            return False
-        if not hasattr(self.executor, "run_rows"):
-            return False
-        if not (hasattr(inputs, "materialize") and hasattr(inputs, "__len__")):
-            return False
-        if len(inputs) == 0 or len(configs) == 0:
-            return False
-        try:
-            pickle.dumps((program, list(configs), inputs))
-        except Exception:
-            return False
-        return True
-
-    def _measure_via_descriptors(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Configuration],
-        source: Any,
-    ) -> Dict[str, np.ndarray]:
-        """Distributed measure: lease (start, stop) row ranges of a source.
-
-        Workers rebuild their input rows from the (few-hundred-byte) source
-        descriptor, execute through their local caches, and return
-        ``(run_key, time, accuracy, extra)`` entries in row-major order; the
-        entries are folded into the matrices *by lease index* -- content
-        order, independent of which worker answered when -- and into this
-        runtime's cache, so a later ``save_cache`` persists work done on
-        every worker.  Values are bit-identical to the serial path because
-        runs are pure functions of their content.
-        """
-        n, k = len(source), len(configs)
-        rows_per_lease = max(1, (self.batch_chunk or 0) // k) if self.batch_chunk else 0
-        if not rows_per_lease:
-            workers = max(1, getattr(self.executor, "workers", 1))
-            rows_per_lease = max(1, -(-n // (workers * 4)))
-        ranges = [
-            (start, min(start + rows_per_lease, n))
-            for start in range(0, n, rows_per_lease)
-        ]
-        self.telemetry.count("runs_requested", n * k)
-        with self.telemetry.phase("measure.distributed"):
-            leased = self.executor.run_rows(program, configs, source, ranges)
-        times = np.zeros((n, k))
-        accuracies = np.zeros((n, k))
-        worker_hits = 0
-        for (start, _stop), block in zip(ranges, leased):
-            worker_hits += int(block.get("cache_hits", 0))
-            for offset, (key, seconds, accuracy, extra) in enumerate(block["entries"]):
-                i, j = divmod(offset, k)
-                times[start + i, j] = seconds
-                accuracies[start + i, j] = accuracy
-                if self.cache is not None and key not in self.cache:
-                    self.cache.put(
-                        key,
-                        RunResult(
-                            output=None,
-                            time=float(seconds),
-                            accuracy=float(accuracy),
-                            extra=dict(extra),
-                        ),
-                        has_output=False,
-                    )
-        self.telemetry.count("runs_executed", n * k - worker_hits)
-        if worker_hits:
-            self.telemetry.count("worker_cache_hits", worker_hits)
-        self._chunk_completed()
         return {"times": times, "accuracies": accuracies}
 
     # -- management -----------------------------------------------------
@@ -594,9 +433,9 @@ class Runtime:
             "executor": self.executor.name,
             "telemetry": self.telemetry.snapshot(),
         }
-        fallback = getattr(self.executor, "fallback_reason", None)
-        if fallback:
-            info["executor_fallback"] = fallback
+        if self.executor.fallback_reason:
+            info["executor_fallback"] = self.executor.fallback_reason
+        info["executor_fallbacks"] = self.executor.fallbacks
         lease_stats = getattr(self.executor, "lease_stats", None)
         if lease_stats:
             info["distributed"] = dict(lease_stats)

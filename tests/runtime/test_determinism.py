@@ -15,9 +15,20 @@ import random
 import numpy as np
 import pytest
 
+from repro.benchmarks_suite import get_benchmark
 from repro.core.baselines import DynamicOracle, OneLevelLearning
+from repro.core.inputs import ObservedInputSource
 from repro.experiments.runner import ExperimentConfig, run_experiment
-from repro.runtime import RunCache, Runtime
+from repro.lang.config import ConfigurationSpace, IntegerParameter
+from repro.lang.cost import charge
+from repro.lang.program import PetaBricksProgram
+from repro.runtime import (
+    ProcessExecutor,
+    RunCache,
+    Runtime,
+    SerialExecutor,
+    ThreadExecutor,
+)
 
 #: Small but complete: full two-level training plus all four methods.
 METHODS = ("static_oracle", "dynamic_oracle", "two_level", "one_level")
@@ -87,6 +98,117 @@ class TestCrossExecutorDeterminism:
             np.testing.assert_array_equal(
                 result.methods[method].times, serial_result.methods[method].times
             )
+
+
+@pytest.fixture(scope="module")
+def sort_setup():
+    variant = get_benchmark("sort2")
+    program = variant.benchmark.program
+    inputs = variant.benchmark.generate_inputs(6, variant.variant, seed=0)
+    configs = [program.default_configuration()]
+    configs.append(program.config_space.sample(random.Random(7)))
+    return program, configs, inputs
+
+
+def serial_matrices(program, configs, inputs):
+    return Runtime(executor=SerialExecutor(), cache=None).measure(
+        program, configs, inputs
+    )
+
+
+def assert_identical(actual, expected):
+    assert np.array_equal(actual["times"], expected["times"])
+    assert np.array_equal(actual["accuracies"], expected["accuracies"])
+
+
+def local_program():
+    """A program whose lambda run function cannot be pickled into workers."""
+    space = ConfigurationSpace([IntegerParameter("x", 1, 5)])
+    return PetaBricksProgram(
+        "local", space, lambda config, value: charge(float(config["x"]) * value)
+    )
+
+
+class TestMeasureMatchesSerial:
+    """``Runtime.measure`` streams pairs on every executor, bit-identically."""
+
+    def test_process_measure_matches_serial(self, sort_setup):
+        program, configs, inputs = sort_setup
+        expected = serial_matrices(program, configs, inputs)
+        with Runtime(executor=ProcessExecutor(workers=2), cache=None) as runtime:
+            actual = runtime.measure(program, configs, inputs)
+            assert runtime.executor.fallback_reason is None
+        assert_identical(actual, expected)
+
+    def test_chunked_process_measure_matches_serial(self, sort_setup):
+        program, configs, inputs = sort_setup
+        expected = serial_matrices(program, configs, inputs)
+        with Runtime(
+            executor=ProcessExecutor(workers=2), cache=None, batch_chunk=5
+        ) as runtime:
+            actual = runtime.measure(program, configs, inputs)
+            counters = runtime.telemetry.snapshot()["counters"]
+        assert_identical(actual, expected)
+        # 6 inputs x 2 configs = 12 pairs in chunks of 5 -> 3 chunks.
+        assert counters["chunks_dispatched"] == 3
+        assert counters["runs_requested"] == 12
+        assert counters["runs_executed"] == 12
+
+    def test_thread_measure_matches_serial(self, sort_setup):
+        program, configs, inputs = sort_setup
+        expected = serial_matrices(program, configs, inputs)
+        with Runtime(executor=ThreadExecutor(workers=4), cache=None) as runtime:
+            assert_identical(runtime.measure(program, configs, inputs), expected)
+
+    def test_caching_runtime_fills_run_cache(self, sort_setup):
+        program, configs, inputs = sort_setup
+        expected = serial_matrices(program, configs, inputs)
+        with Runtime(executor=ProcessExecutor(workers=2), cache=RunCache()) as runtime:
+            assert_identical(runtime.measure(program, configs, inputs), expected)
+            assert len(runtime.cache) == 12
+            # A repeat is answered from the cache, not re-executed.
+            assert_identical(runtime.measure(program, configs, inputs), expected)
+            counters = runtime.telemetry.snapshot()["counters"]
+        assert counters["cache_hits"] == 12
+        assert counters["runs_executed"] == 12
+
+    def test_unpicklable_program_falls_back_to_serial(self):
+        program = local_program()
+        configs = [program.default_configuration()]
+        inputs = [1.0, 2.0, 3.0]
+        expected = serial_matrices(program, configs, inputs)
+        with Runtime(executor=ProcessExecutor(workers=2), cache=None) as runtime:
+            actual = runtime.measure(program, configs, inputs)
+            assert "not picklable" in runtime.executor.fallback_reason
+        assert_identical(actual, expected)
+
+    def test_unpicklable_program_bumps_fallback_counter(self):
+        program = local_program()
+        configs = [program.default_configuration()]
+        with Runtime(executor=ProcessExecutor(workers=2), cache=None) as runtime:
+            assert runtime.stats()["executor_fallbacks"] == 0
+            runtime.measure(program, configs, [1.0, 2.0, 3.0])
+            stats = runtime.stats()
+            assert stats["executor_fallbacks"] == 1
+            assert "not picklable" in stats["executor_fallback"]
+            # Every batch that runs serially is counted, not just the first.
+            runtime.measure(program, configs, [4.0])
+            assert runtime.stats()["executor_fallbacks"] == 2
+
+    def test_input_source_materializes_each_input_once(self, sort_setup):
+        """A lazy source costs N materializations, not N x K, even when a
+        chunk boundary splits an input's K configurations."""
+        program, configs, _ = sort_setup
+        variant = get_benchmark("sort2")
+        source = variant.benchmark.input_generators()["synthetic"].source(6, seed=0)
+        expected = serial_matrices(program, configs, source.materialized())
+        materializations = []
+        observed = ObservedInputSource(source, materializations.append)
+        with Runtime(
+            executor=ProcessExecutor(workers=2), cache=None, batch_chunk=5
+        ) as runtime:
+            assert_identical(runtime.measure(program, configs, observed), expected)
+        assert len(materializations) == len(source)
 
 
 class TestSharedRuntime:

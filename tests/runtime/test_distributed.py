@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.benchmarks_suite import get_benchmark
-from repro.core.inputs import ObservedInputSource
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import charge
@@ -185,11 +184,20 @@ def _raise_zero_division():
     return 1 // 0
 
 
-# -- descriptor (rows) path ---------------------------------------------
+# -- measurement ---------------------------------------------------------
+
+
+def _logged_run(config, value):
+    """Append one line per execution to the file named by the input."""
+    path, amount = value
+    with open(path, "a") as handle:
+        handle.write("run\n")
+    charge(float(config["x"]) * amount)
+    return amount
 
 
 class TestDistributedMeasure:
-    def test_measure_matches_serial_and_syncs_cache(self, sort_setup):
+    def test_measure_matches_serial_and_fills_cache(self, sort_setup):
         program, configs, _tasks = sort_setup
         variant = get_benchmark("sort2")
         source = variant.benchmark.input_source(8, variant.variant, seed=0)
@@ -205,7 +213,7 @@ class TestDistributedMeasure:
             assert stats["cache"]["entries"] == len(source) * len(configs)
             # ...and the lease telemetry surfaced.
             assert stats["distributed"]["leases_issued"] >= 1
-            assert "measure.distributed" in stats["telemetry"]["phases"]
+            assert stats["executor_fallbacks"] == 0
             # The folded entries answer run_pairs lookups without executing.
             executed_before = rt.telemetry.runs_executed
             pairs = [(configs[0], source.materialize(0))]
@@ -215,14 +223,12 @@ class TestDistributedMeasure:
         finally:
             rt.close()
 
-    def test_plain_lists_keep_the_pair_path(self, sort_setup):
-        """A materialized input list must not take the descriptor path."""
+    def test_plain_list_measure_matches_serial(self, sort_setup):
         program, configs, _tasks = sort_setup
         variant = get_benchmark("sort2")
         inputs = variant.benchmark.generate_inputs(4, variant.variant, seed=0)
         rt = Runtime.create(executor="distributed", workers=1)
         try:
-            assert not rt._rows_distributable(program, configs, inputs)
             with Runtime.create(executor="serial") as serial_rt:
                 expected = serial_rt.measure(program, configs, inputs)
             got = rt.measure(program, configs, inputs)
@@ -230,17 +236,24 @@ class TestDistributedMeasure:
         finally:
             rt.close()
 
-    def test_observed_source_pickles_without_observer(self):
-        import pickle
-
-        variant = get_benchmark("sort2")
-        source = variant.benchmark.input_source(4, variant.variant, seed=0)
-        seen = []
-        observed = ObservedInputSource(source, seen.append)
-        clone = pickle.loads(pickle.dumps(observed))
-        # Identical materializations; the clone's observer is silent.
-        np.testing.assert_array_equal(observed.materialize(2), clone.materialize(2))
-        assert len(seen) == 1  # only the original observed
+    def test_cacheless_runtime_executes_every_repeat(self, tmp_path):
+        """Workers keep no run cache: with caching off, a repeated pair is
+        really executed again, not recalled behind the runtime's back."""
+        space = ConfigurationSpace([IntegerParameter("x", 1, 5)])
+        program = PetaBricksProgram("logged", space, _logged_run)
+        log = str(tmp_path / "runs.log")
+        configs = [program.default_configuration()]
+        inputs = [(log, float(v)) for v in range(1, 4)]
+        rt = Runtime.create(executor="distributed", workers=1, use_cache=False)
+        try:
+            first = rt.measure(program, configs, inputs)
+            second = rt.measure(program, configs, inputs)
+            np.testing.assert_array_equal(first["times"], second["times"])
+            assert rt.telemetry.runs_executed == 6
+        finally:
+            rt.close()
+        with open(log) as handle:
+            assert len(handle.readlines()) == 6
 
 
 # -- fault injection -----------------------------------------------------
