@@ -399,7 +399,8 @@ class ProcessExecutor(BaseExecutor):
                 # Submission is eager and runs no task (under a spawn start
                 # method it pickles the initializer's program/registry), so
                 # an error here is transport, never a task's own exception.
-                raise pickle.PicklingError(f"{type(error).__name__}: {error}") from error
+                detail = f"{type(error).__name__}: {error}"
+                raise pickle.PicklingError(detail) from error
             # During result iteration only a genuine PicklingError is
             # transport: a task-raised TypeError must propagate as-is, not
             # trigger a misleading serial re-run.

@@ -3,9 +3,10 @@
 The acceptance bar for the 50k-input-regime work: setting
 ``Runtime.batch_chunk`` (or ``ExperimentConfig.batch_chunk`` /
 ``--batch-chunk``) must change *nothing* about the results -- the full
-experiment pipeline and the Level-2 search are bit-identical with and
-without chunking, under every executor -- while bounding the transient
-footprint of a measurement batch by O(chunk).
+experiment pipeline and the Level-2 search are bit-identical whether a
+batch goes out as one default-size chunk or as many small ones, under
+every executor -- while bounding the transient footprint of a
+measurement batch by O(chunk).
 """
 
 import numpy as np
