@@ -16,7 +16,7 @@ the cost model.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,20 @@ def residual_norm(u: np.ndarray, f: np.ndarray) -> float:
     return float(np.sqrt(np.mean(r ** 2)))
 
 
+def _ghost_buffer(f: np.ndarray, u0: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """A zero ghost-cell buffer around the iterate, and the iterate as its interior view.
+
+    Sweeps update the interior in place, so the zero Dirichlet ring is
+    allocated once per call instead of once per ``np.pad``-ed sweep.
+    """
+    source = f if u0 is None else u0
+    padded = np.zeros(tuple(size + 2 for size in source.shape), dtype=source.dtype)
+    interior = padded[1:-1, 1:-1]
+    if u0 is not None:
+        interior[...] = u0
+    return padded, interior
+
+
 def jacobi(f: np.ndarray, iterations: int, u0: np.ndarray = None, weight: float = 0.8) -> np.ndarray:
     """Weighted Jacobi iteration.
 
@@ -65,16 +79,15 @@ def jacobi(f: np.ndarray, iterations: int, u0: np.ndarray = None, weight: float 
     """
     n = f.shape[0]
     h2 = _grid_spacing(n) ** 2
-    u = np.zeros_like(f) if u0 is None else u0.copy()
+    padded, u = _ghost_buffer(f, u0)
     for _ in range(max(0, iterations)):
-        padded = np.pad(u, 1)
         neighbours = (
             padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
         )
         updated = (neighbours + h2 * f) / 4.0
-        u = (1.0 - weight) * u + weight * updated
+        u[...] = (1.0 - weight) * u + weight * updated
         charge(6.0 * n * n)
-    return u
+    return u.copy()
 
 
 def sor(f: np.ndarray, iterations: int, omega: float = None, u0: np.ndarray = None) -> np.ndarray:
@@ -89,7 +102,7 @@ def sor(f: np.ndarray, iterations: int, omega: float = None, u0: np.ndarray = No
     if omega is None:
         rho = math.cos(math.pi * _grid_spacing(n))
         omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
-    u = np.zeros_like(f) if u0 is None else u0.copy()
+    padded, u = _ghost_buffer(f, u0)
 
     index = np.arange(n)
     red_mask = ((index[:, None] + index[None, :]) % 2) == 0
@@ -97,7 +110,6 @@ def sor(f: np.ndarray, iterations: int, omega: float = None, u0: np.ndarray = No
 
     for _ in range(max(0, iterations)):
         for mask in (red_mask, black_mask):
-            padded = np.pad(u, 1)
             neighbours = (
                 padded[:-2, 1:-1]
                 + padded[2:, 1:-1]
@@ -107,7 +119,7 @@ def sor(f: np.ndarray, iterations: int, omega: float = None, u0: np.ndarray = No
             gauss_seidel = (neighbours + h2 * f) / 4.0
             u[mask] = (1.0 - omega) * u[mask] + omega * gauss_seidel[mask]
         charge(8.0 * n * n)
-    return u
+    return u.copy()
 
 
 def direct_banded_cholesky(f: np.ndarray) -> np.ndarray:
@@ -166,49 +178,42 @@ def direct_fast_poisson(f: np.ndarray) -> np.ndarray:
     return u
 
 
+def _every_other(start: int, count: int) -> slice:
+    """Indices ``start, start + 2, ...``: ``count`` of them."""
+    return slice(start, start + 2 * count, 2)
+
+
 def _restrict(fine: np.ndarray) -> np.ndarray:
-    """Full-weighting restriction to the next coarser grid (n -> (n-1)/2)."""
+    """Full-weighting restriction to the next coarser grid (n -> (n-1)/2).
+
+    Coarse point ``k`` sits on fine point ``2k + 1``; its neighbours are fine
+    points ``2k`` and ``2k + 2`` along each axis.
+    """
     n = fine.shape[0]
     coarse_n = (n - 1) // 2
-    padded = np.pad(fine, 1)
-    i = 2 * np.arange(1, coarse_n + 1)
-    center = padded[np.ix_(i, i)]
-    edges = (
-        padded[np.ix_(i - 1, i)]
-        + padded[np.ix_(i + 1, i)]
-        + padded[np.ix_(i, i - 1)]
-        + padded[np.ix_(i, i + 1)]
-    )
-    corners = (
-        padded[np.ix_(i - 1, i - 1)]
-        + padded[np.ix_(i - 1, i + 1)]
-        + padded[np.ix_(i + 1, i - 1)]
-        + padded[np.ix_(i + 1, i + 1)]
-    )
+    lo, mid, hi = (_every_other(start, coarse_n) for start in (0, 1, 2))
+    center = fine[mid, mid]
+    edges = fine[lo, mid] + fine[hi, mid] + fine[mid, lo] + fine[mid, hi]
+    corners = fine[lo, lo] + fine[lo, hi] + fine[hi, lo] + fine[hi, hi]
     charge(9.0 * coarse_n * coarse_n)
     return (4.0 * center + 2.0 * edges + corners) / 16.0
 
 
 def _prolong(coarse: np.ndarray, fine_n: int) -> np.ndarray:
-    """Bilinear prolongation from the coarse grid to an n x n fine grid."""
+    """Bilinear prolongation from the coarse grid to an n x n fine grid.
+
+    Coarse point ``k`` lands on fine point ``2k + 1``; the fine points
+    between two coarse points average them, horizontally then vertically.
+    """
     coarse_n = coarse.shape[0]
-    padded = np.pad(coarse, 1)
     fine = np.zeros((fine_n, fine_n))
-    i = np.arange(1, coarse_n + 1)
-    fine_idx = 2 * i - 1
-    fine[np.ix_(fine_idx, fine_idx)] = padded[np.ix_(i, i)]
-    # Horizontal then vertical interpolation of the in-between points.
-    fine[np.ix_(fine_idx, fine_idx[:-1] + 1)] = 0.5 * (
-        padded[np.ix_(i, i[:-1])] + padded[np.ix_(i, i[:-1] + 1)]
-    )
-    fine[np.ix_(fine_idx[:-1] + 1, fine_idx)] = 0.5 * (
-        padded[np.ix_(i[:-1], i)] + padded[np.ix_(i[:-1] + 1, i)]
-    )
-    fine[np.ix_(fine_idx[:-1] + 1, fine_idx[:-1] + 1)] = 0.25 * (
-        padded[np.ix_(i[:-1], i[:-1])]
-        + padded[np.ix_(i[:-1] + 1, i[:-1])]
-        + padded[np.ix_(i[:-1], i[:-1] + 1)]
-        + padded[np.ix_(i[:-1] + 1, i[:-1] + 1)]
+    on = _every_other(1, coarse_n)
+    between = _every_other(2, coarse_n - 1)
+    fine[on, on] = coarse
+    fine[on, between] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    fine[between, on] = 0.5 * (coarse[:-1, :] + coarse[1:, :])
+    fine[between, between] = 0.25 * (
+        coarse[:-1, :-1] + coarse[1:, :-1] + coarse[:-1, 1:] + coarse[1:, 1:]
     )
     charge(4.0 * fine_n * fine_n)
     return fine

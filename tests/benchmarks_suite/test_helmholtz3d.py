@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.benchmarks_suite.helmholtz3d import generators, solvers
 from repro.benchmarks_suite.helmholtz3d.benchmark import (
@@ -64,6 +65,39 @@ class TestHelmholtzSolvers:
         with pytest.raises(ValueError):
             solvers.multigrid(rhs, coefficient, cycle_shape="Z")
 
+    def test_sparse_operator_matches_fresh_assembly(self):
+        """The cached Laplacian gives the same CSC bits as assembling it anew."""
+        for n, seed in ((7, 0), (11, 1), (7, 2)):
+            _, coefficient = make_problem(n=n)
+            coefficient = coefficient + np.random.default_rng(seed).random(coefficient.shape)
+            h2 = (1.0 / (n + 1)) ** 2
+            one_d = sparse.diags(
+                [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+                offsets=[-1, 0, 1],
+                format="csr",
+            )
+            eye = sparse.identity(n, format="csr")
+            laplacian = (
+                sparse.kron(sparse.kron(one_d, eye), eye)
+                + sparse.kron(sparse.kron(eye, one_d), eye)
+                + sparse.kron(sparse.kron(eye, eye), one_d)
+            ) / h2
+            fresh = (laplacian + sparse.diags(coefficient.ravel())).tocsc()
+            built = solvers.build_sparse_operator(coefficient)
+            for field in ("data", "indices", "indptr"):
+                assert getattr(built, field).tobytes() == getattr(fresh, field).tobytes()
+
+    def test_direct_reuses_a_reference_solution(self):
+        rhs, coefficient = make_problem(n=7, seed=8)
+        reference = solvers.exact_solution(rhs, coefficient)
+        with scoped_counter() as fresh_cost:
+            fresh = solvers.direct_sparse(rhs, coefficient)
+        with scoped_counter() as reused_cost:
+            reused = solvers.direct_sparse(rhs, coefficient, reference=reference)
+        assert reused.tobytes() == fresh.tobytes()
+        assert reused_cost.total == fresh_cost.total
+        assert not np.shares_memory(reused, reference)
+
     def test_direct_charged_more_than_smoothing(self):
         rhs, coefficient = make_problem(n=11, seed=4)
         with scoped_counter() as direct_cost:
@@ -85,6 +119,44 @@ class TestHelmholtzProgram:
         problem = HelmholtzInput(rhs=rhs, coefficient=coefficient)
         solution = solvers.jacobi(rhs, coefficient, 2)
         assert helmholtz_accuracy(problem, solution) < ACCURACY_THRESHOLD
+
+    def test_exact_solution_cached(self):
+        rhs, coefficient = make_problem(n=7, seed=9)
+        problem = HelmholtzInput(rhs=rhs, coefficient=coefficient)
+        first = problem.exact_solution()
+        assert problem.exact_solution() is first
+
+    @pytest.mark.parametrize("n", generators.GRID_SIZES)
+    def test_direct_run_factorizes_once(self, monkeypatch, n):
+        """Running ``direct`` and scoring its accuracy share one factorization."""
+        rhs, coefficient = make_problem(n=n, seed=10)
+        coefficient = coefficient + np.random.default_rng(n).random(coefficient.shape)
+        problem = HelmholtzInput(rhs=rhs, coefficient=coefficient)
+        program = Helmholtz3DBenchmark().program
+        config = program.default_configuration().with_updates(solver="direct")
+
+        factorizations = []
+        real_splu = solvers.splu
+
+        def counting_splu(matrix):
+            factorizations.append(matrix.shape)
+            return real_splu(matrix)
+
+        monkeypatch.setattr(solvers, "splu", counting_splu)
+        result = program.run(config, problem)
+        assert len(factorizations) == 1
+
+        unknowns = n ** 3
+        expected_time = 0.0
+        expected_time += 0.5 * unknowns ** 2
+        expected_time += 20.0 * unknowns
+        assert result.time == expected_time
+
+        stand_alone = solvers.direct_sparse(rhs, coefficient)
+        assert result.output.tobytes() == stand_alone.tobytes()
+        # The caller owns its output: the cached reference stays untouched.
+        assert not np.shares_memory(result.output, problem.exact_solution())
+        assert result.accuracy >= ACCURACY_THRESHOLD
 
     def test_generator_structure(self):
         inputs = generators.generate_synthetic(10, seed=0)
