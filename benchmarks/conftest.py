@@ -5,7 +5,7 @@ paper-scale runs are long; the harness therefore exposes a small/large switch
 via the ``REPRO_BENCH_SCALE`` environment variable:
 
 * ``small`` (default) -- minutes for the full suite, preserves the shapes;
-* ``large`` -- closer to the defaults used to produce EXPERIMENTS.md.
+* ``large`` -- closer to the defaults of ``scripts/generate_experiments_report.py``.
 """
 
 from __future__ import annotations

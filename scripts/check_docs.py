@@ -1,7 +1,8 @@
 """Build/lint the documentation tree: markdown checks + link validation.
 
-CI's docs job runs this over ``docs/`` and the top-level markdown files.
-Checks, per file:
+CI's docs job runs this over ``docs/``, the top-level markdown files and
+the Python files under ``src/``, ``benchmarks/`` and ``scripts/``.
+Checks, per markdown file:
 
 * **relative links resolve** -- every ``[text](target)`` whose target is
   not an absolute URL or a pure in-page anchor must point at an existing
@@ -12,26 +13,41 @@ Checks, per file:
   of the document silently on most renderers);
 * **no empty link targets** like ``[text]()``.
 
+Per Python file:
+
+* **cited markdown files exist** -- every markdown file name mentioned in
+  a docstring or comment must resolve, relative to the repository root or
+  to the citing file's directory.
+
 Exit status 0 when clean, 1 with one line per problem otherwise::
 
-    python scripts/check_docs.py            # checks docs/ + *.md at the root
+    python scripts/check_docs.py            # checks the default tree
     python scripts/check_docs.py README.md  # or an explicit file list
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import glob
+import io
 import os
 import re
 import sys
-from typing import List
+import tokenize
+from typing import Iterator, List, Tuple
 
 #: ``[text](target)`` -- deliberately simple; nested brackets in link text
 #: are not used in this repo's docs.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]*)\)")
 
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+
+#: A markdown file name cited in prose, e.g. ``DESIGN.md`` or ``docs/runtime.md``.
+_MD_NAME = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
+
+#: Top-level directories whose Python files are checked by default.
+_PYTHON_TREES = ("src", "benchmarks", "scripts")
 
 
 def _github_anchor(heading: str) -> str:
@@ -109,22 +125,55 @@ def check_file(path: str) -> List[str]:
     return problems
 
 
+def _python_prose(source: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` of every docstring line and comment in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring is not None:
+                first = node.body[0].lineno
+                for offset, line in enumerate(docstring.splitlines()):
+                    yield first + offset, line
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def check_python_file(path: str, root: str) -> List[str]:
+    """Markdown names cited in ``path``'s docstrings and comments that resolve to no file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    bases = (root, os.path.dirname(os.path.abspath(path)))
+    return [
+        f"{path}:{lineno}: cites {name!r}, which resolves to no file"
+        for lineno, text in _python_prose(source)
+        for name in _MD_NAME.findall(text)
+        if not any(os.path.exists(os.path.join(base, name)) for base in bases)
+    ]
+
+
 def default_targets(root: str) -> List[str]:
     targets = sorted(glob.glob(os.path.join(root, "*.md")))
     targets += sorted(glob.glob(os.path.join(root, "docs", "**", "*.md"), recursive=True))
+    for tree in _PYTHON_TREES:
+        targets += sorted(glob.glob(os.path.join(root, tree, "**", "*.py"), recursive=True))
     return targets
 
 
 def main(argv: List[str]) -> int:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     targets = argv or default_targets(root)
+    python = [path for path in targets if path.endswith(".py")]
+    markdown = [path for path in targets if not path.endswith(".py")]
     problems: List[str] = []
-    for path in targets:
+    for path in markdown:
         problems.extend(check_file(path))
+    for path in python:
+        problems.extend(check_python_file(path, root))
     for problem in problems:
         print(problem)
     print(
-        f"checked {len(targets)} markdown file(s): "
+        f"checked {len(markdown)} markdown and {len(python)} Python file(s): "
         + ("OK" if not problems else f"{len(problems)} problem(s)")
     )
     return 1 if problems else 0

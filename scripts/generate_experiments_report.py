@@ -1,11 +1,11 @@
-"""Generate the measured numbers recorded in EXPERIMENTS.md.
+"""Print a markdown report of the paper's measured tables and figures.
 
 Runs every Table-1 test once at a moderate scale, derives the Figure-6 and
 Figure-8 series from the same trained systems, evaluates the Figure-7 model
 curves, and runs the in-text ablations, then prints a markdown report to
-stdout.  EXPERIMENTS.md embeds the output of::
+stdout::
 
-    python scripts/generate_experiments_report.py > experiments_report.md
+    python scripts/generate_experiments_report.py
 """
 
 from __future__ import annotations

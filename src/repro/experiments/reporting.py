@@ -4,7 +4,7 @@ The experiment drivers (:mod:`repro.experiments.table1`, the figure
 modules, the CLI commands) return structured data -- rows, curves, method
 outcomes -- and deliberately know nothing about presentation; these helpers
 turn that data into aligned ASCII tables (for the console and for
-EXPERIMENTS.md) and into simple CSV strings.
+``scripts/generate_experiments_report.py``) and into simple CSV strings.
 
 Keeping every formatting concern here means a driver's output can be
 snapshot-tested as data, the CLI stays a thin ``print`` loop, and a future
