@@ -142,7 +142,10 @@ def sor(
 
 @functools.lru_cache(maxsize=8)
 def _laplacian(n: int) -> sparse.csr_matrix:
-    """The constant-coefficient 7-point Laplacian on an ``n^3`` grid (shared; never mutated)."""
+    """The constant-coefficient 7-point Laplacian on an ``n^3`` grid.
+
+    Every caller shares the cached matrix, so its arrays are read-only.
+    """
     h2 = _grid_spacing(n) ** 2
     one_d = sparse.diags(
         [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
@@ -150,11 +153,14 @@ def _laplacian(n: int) -> sparse.csr_matrix:
         format="csr",
     )
     identity = sparse.identity(n, format="csr")
-    return (
+    laplacian = (
         sparse.kron(sparse.kron(one_d, identity), identity)
         + sparse.kron(sparse.kron(identity, one_d), identity)
         + sparse.kron(sparse.kron(identity, identity), one_d)
     ) / h2
+    for array in (laplacian.data, laplacian.indices, laplacian.indptr):
+        array.flags.writeable = False
+    return laplacian
 
 
 def build_sparse_operator(coefficient: np.ndarray) -> sparse.csc_matrix:
@@ -221,15 +227,10 @@ def _prolong(coarse: np.ndarray, fine_n: int) -> np.ndarray:
     """Piecewise-constant prolongation (nearest coarse point).
 
     Fine points ``2k + 1`` and ``2k + 2`` both take coarse point ``k``; fine
-    point 0 lies next to the boundary and stays zero, and fine points past
-    the coarse grid repeat its last point.
+    point 0 lies next to the boundary and stays zero.  ``fine_n`` is at most
+    ``2 * coarse_n + 1``, as the ``(n - 1) // 2`` coarsening guarantees.
     """
-    coarse_n = coarse.shape[0]
     fine = np.zeros((fine_n, fine_n, fine_n))
-    # One axis holds fine_n // 2 points of each parity at most.
-    reach = fine_n // 2
-    if reach > coarse_n:
-        coarse = np.pad(coarse, (0, reach - coarse_n), mode="edge")
     counts = {start: len(range(start, fine_n, 2)) for start in (1, 2)}
     for a, b, c in itertools.product((1, 2), repeat=3):
         fine[a::2, b::2, c::2] = coarse[: counts[a], : counts[b], : counts[c]]

@@ -87,17 +87,6 @@ class TestHelmholtzSolvers:
             for field in ("data", "indices", "indptr"):
                 assert getattr(built, field).tobytes() == getattr(fresh, field).tobytes()
 
-    def test_direct_reuses_a_reference_solution(self):
-        rhs, coefficient = make_problem(n=7, seed=8)
-        reference = solvers.exact_solution(rhs, coefficient)
-        with scoped_counter() as fresh_cost:
-            fresh = solvers.direct_sparse(rhs, coefficient)
-        with scoped_counter() as reused_cost:
-            reused = solvers.direct_sparse(rhs, coefficient, reference=reference)
-        assert reused.tobytes() == fresh.tobytes()
-        assert reused_cost.total == fresh_cost.total
-        assert not np.shares_memory(reused, reference)
-
     def test_direct_charged_more_than_smoothing(self):
         rhs, coefficient = make_problem(n=11, seed=4)
         with scoped_counter() as direct_cost:
