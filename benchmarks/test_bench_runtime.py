@@ -8,8 +8,9 @@ Records the perf baseline future scale-up PRs are measured against:
 * peak transient memory of a measurement matrix with and without streaming
   chunks (``Runtime.batch_chunk``),
 * end-to-end peak memory of a whole experiment with streamed inputs + a
-  capped cache vs. the materialized-list path, at two input counts (the
-  streamed peak must stop scaling with N),
+  capped cache vs. the core pipeline fed a plain input list with an
+  unbounded cache, at two input counts (the streamed peak must stop
+  scaling with N),
 * the in-memory footprint of one run-cache entry (the number behind
   ``RunCache.DEFAULT_MAX_ENTRIES``).
 
@@ -34,7 +35,8 @@ import numpy as np
 import pytest
 
 from repro.benchmarks_suite import get_benchmark
-from repro.experiments.runner import run_experiment
+from repro.core import InputAwareLearning
+from repro.experiments.runner import evaluate_methods, run_experiment
 from repro.runtime import RunCache, Runtime
 
 from conftest import bench_scale, experiment_config
@@ -54,6 +56,26 @@ def _baseline():
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _run_list_fed(test_name, config):
+    """Train and evaluate ``test_name`` with the core pipeline fed a plain
+    input list -- the O(N) reference the streamed runner is measured
+    against (``run_experiment`` always streams a lazy source)."""
+    variant = get_benchmark(test_name)
+    inputs = variant.benchmark.generate_inputs(
+        config.n_inputs, variant.variant, seed=config.seed
+    )
+    with config.runtime_scope() as runtime:
+        learner = InputAwareLearning(
+            level1_config=config.level1(),
+            level2_config=config.level2(),
+            test_fraction=config.test_fraction,
+            seed=config.seed,
+            runtime=runtime,
+        )
+        training = learner.fit(variant.benchmark.program, inputs)
+        evaluate_methods(training, runtime=runtime)
 
 
 def _config(executor: str, use_cache: bool = True):
@@ -218,9 +240,9 @@ def test_streaming_input_peak_memory(benchmark):
 
     Runs the whole experiment (input generation, feature extraction,
     autotuning, the measurement matrix, Level 2, evaluation) at two input
-    counts, once the legacy way (materialized input list, unbounded cache)
-    and once fully streamed (lazy ``InputSource``, ``batch_chunk``,
-    ``cache_max_entries``).  The streamed run's peak must be decisively
+    counts, once through the core pipeline fed a plain input list with an
+    unbounded cache and once through ``run_experiment`` fully streamed
+    (lazy ``InputSource``, ``batch_chunk``, ``cache_max_entries``).  The streamed run's peak must be decisively
     below the materialized run's, and -- the point of the input-streaming
     work -- its *growth* with N must be a fraction of the materialized
     growth: what remains is the <F, T, A, E> datatable itself, not the
@@ -240,19 +262,19 @@ def test_streaming_input_peak_memory(benchmark):
         config.tuning_neighbors = 2
         config.max_subsets = 8
         config.executor = "serial"
-        config.stream_inputs = streamed
         config.batch_chunk = 32 if streamed else None
         config.cache_max_entries = 256 if streamed else None
         return config
 
     # Warm up imports (numpy lazily pulls submodules on first use) so the
     # traced peaks compare run-scale allocations, not module objects.
-    run_experiment("sort1", config(8, streamed=False))
+    _run_list_fed("sort1", config(8, streamed=False))
 
     def traced_peak(n_inputs, streamed):
+        run = run_experiment if streamed else _run_list_fed
         tracemalloc.start()
         try:
-            run_experiment("sort1", config(n_inputs, streamed))
+            run("sort1", config(n_inputs, streamed))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

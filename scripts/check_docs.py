@@ -19,6 +19,14 @@ Per Python file:
   a docstring or comment must resolve, relative to the repository root or
   to the citing file's directory.
 
+Per reference document (``README.md``, ``DESIGN.md`` and ``docs/``):
+
+* **cited environment variables are read** -- every ``REPRO_*`` name must
+  appear in a string literal (not a docstring) of some Python file under
+  ``src/``, ``tests/``, ``benchmarks/`` or ``scripts/``, so a variable whose
+  reader was deleted cannot stay documented.  The change log and planning
+  files keep the names of removed variables on purpose and are not checked.
+
 Exit status 0 when clean, 1 with one line per problem otherwise::
 
     python scripts/check_docs.py            # checks the default tree
@@ -48,6 +56,12 @@ _MD_NAME = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
 
 #: Top-level directories whose Python files are checked by default.
 _PYTHON_TREES = ("src", "benchmarks", "scripts")
+
+#: An environment variable of this package, e.g. ``REPRO_EXECUTOR``.
+_ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9]+(?:_[A-Z0-9]+)*\b")
+
+#: Top-level directories whose Python string literals count as reading a variable.
+_ENV_READERS = ("src", "tests", "benchmarks", "scripts")
 
 
 def _github_anchor(heading: str) -> str:
@@ -152,6 +166,49 @@ def check_python_file(path: str, root: str) -> List[str]:
     ]
 
 
+def _string_literals(source: str) -> Iterator[str]:
+    """Every string constant in ``source`` except docstrings."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.body and isinstance(node.body[0], ast.Expr):
+                docstrings.add(id(node.body[0].value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                yield node.value
+
+
+def env_names_read(root: str) -> set:
+    """``REPRO_*`` names in the string literals of the Python files under ``root``."""
+    names = set()
+    for tree in _ENV_READERS:
+        for path in glob.glob(os.path.join(root, tree, "**", "*.py"), recursive=True):
+            with open(path, "r", encoding="utf-8") as handle:
+                for literal in _string_literals(handle.read()):
+                    names.update(_ENV_NAME.findall(literal))
+    return names
+
+
+def is_reference_doc(path: str, root: str) -> bool:
+    """Whether ``path`` documents current behaviour (and so gets the env check)."""
+    relative = os.path.relpath(os.path.abspath(path), root)
+    return relative in ("README.md", "DESIGN.md") or relative.startswith("docs" + os.sep)
+
+
+def check_env_names(path: str, read: set) -> List[str]:
+    """``REPRO_*`` names cited in markdown ``path`` that no Python file reads."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    return [
+        f"{path}:{lineno}: cites environment variable {name!r}, which nothing reads"
+        for lineno, line in enumerate(lines, start=1)
+        for name in _ENV_NAME.findall(line)
+        if name not in read
+    ]
+
+
 def default_targets(root: str) -> List[str]:
     targets = sorted(glob.glob(os.path.join(root, "*.md")))
     targets += sorted(glob.glob(os.path.join(root, "docs", "**", "*.md"), recursive=True))
@@ -170,6 +227,11 @@ def main(argv: List[str]) -> int:
         problems.extend(check_file(path))
     for path in python:
         problems.extend(check_python_file(path, root))
+    reference = [path for path in markdown if is_reference_doc(path, root)]
+    if reference:
+        read = env_names_read(root)
+        for path in reference:
+            problems.extend(check_env_names(path, read))
     for problem in problems:
         print(problem)
     print(

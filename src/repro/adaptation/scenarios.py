@@ -393,7 +393,7 @@ def _train_initial_model(
 ):
     variant = get_benchmark(scenario.test)
     program = variant.benchmark.program
-    inputs = scenario.training_source().materialized()
+    inputs = list(scenario.training_source())
     learner = InputAwareLearning(
         level1_config=Level1Config(
             n_clusters=scenario.training_clusters,

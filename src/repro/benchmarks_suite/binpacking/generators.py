@@ -105,8 +105,3 @@ def synthetic_item(index: int, seed: int = 0) -> np.ndarray:
     rng = per_index_rng(seed, index, "binpacking", "synthetic")
     family = SYNTHETIC_FAMILIES[index % len(SYNTHETIC_FAMILIES)]
     return family(rng)
-
-
-def generate_synthetic(n: int, seed: int = 0) -> List[np.ndarray]:
-    """The Bin Packing input population used in Table 1."""
-    return [synthetic_item(i, seed) for i in range(n)]

@@ -20,8 +20,6 @@ Generation is per-index (``synthetic_item`` / ``real_world_item``): input
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.benchmarks_suite.clustering.benchmark import ClusteringInput
@@ -99,11 +97,6 @@ def synthetic_item(index: int, seed: int = 0) -> ClusteringInput:
     return family(rng)
 
 
-def generate_synthetic(n: int, seed: int = 0) -> List[ClusteringInput]:
-    """The clustering2 population."""
-    return [synthetic_item(i, seed) for i in range(n)]
-
-
 def real_world_item(index: int, seed: int = 0) -> ClusteringInput:
     """Input ``index`` of the clustering1 population: poker-hand-like lattice data.
 
@@ -133,8 +126,3 @@ def real_world_item(index: int, seed: int = 0) -> ClusteringInput:
     # Scale ranks and suits onto comparable, well-separated numeric ranges.
     points = points * np.array([6.0, 18.0])
     return ClusteringInput(points=points, true_k=n_modes)
-
-
-def generate_real_world(n: int, seed: int = 0) -> List[ClusteringInput]:
-    """The clustering1 population: poker-hand-like lattice data."""
-    return [real_world_item(i, seed) for i in range(n)]

@@ -9,7 +9,6 @@ varying coefficients slow the smoothers further).
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -93,8 +92,3 @@ def synthetic_item(index: int, seed: int = 0) -> HelmholtzInput:
     rng = per_index_rng(seed, index, "helmholtz3d", "synthetic")
     family = SYNTHETIC_FAMILIES[index % len(SYNTHETIC_FAMILIES)]
     return family(rng)
-
-
-def generate_synthetic(n: int, seed: int = 0) -> List[HelmholtzInput]:
-    """The Helmholtz 3D input population used in Table 1."""
-    return [synthetic_item(i, seed) for i in range(n)]

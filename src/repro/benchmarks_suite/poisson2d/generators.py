@@ -18,7 +18,6 @@ Grid sizes vary between 15 and 31 (2^k - 1 so multigrid can coarsen fully).
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
@@ -94,8 +93,3 @@ def synthetic_item(index: int, seed: int = 0) -> PoissonInput:
     rng = per_index_rng(seed, index, "poisson2d", "synthetic")
     family = SYNTHETIC_FAMILIES[index % len(SYNTHETIC_FAMILIES)]
     return family(rng)
-
-
-def generate_synthetic(n: int, seed: int = 0) -> List[PoissonInput]:
-    """The Poisson 2D input population used in Table 1."""
-    return [synthetic_item(i, seed) for i in range(n)]

@@ -17,7 +17,8 @@ Generation is **per-index**: ``synthetic_item(i, seed)`` /
 ``real_world_item(i, seed)`` produce input *i* from an RNG seeded by
 (population, seed, i), so any input is derivable without generating
 0..i-1 -- the property the lazy ``InputSource`` pipeline relies on.  The
-whole-list ``generate_*`` functions are thin loops over the item functions.
+benchmark registers the item functions; a whole population is
+``SortBenchmark().input_source(n, variant, seed)``.
 """
 
 from __future__ import annotations
@@ -125,11 +126,6 @@ def synthetic_item(index: int, seed: int = 0) -> np.ndarray:
     return family(rng).astype(float)
 
 
-def generate_synthetic(n: int, seed: int = 0) -> List[np.ndarray]:
-    """The sort2 population: an even mixture over all synthetic families."""
-    return [synthetic_item(i, seed) for i in range(n)]
-
-
 def real_world_item(index: int, seed: int = 0) -> np.ndarray:
     """Input ``index`` of the sort1 population: one registry-extract-like list.
 
@@ -154,8 +150,3 @@ def real_world_item(index: int, seed: int = 0) -> np.ndarray:
         blocks.append(block)
         remaining -= block_size
     return np.concatenate(blocks)
-
-
-def generate_real_world(n: int, seed: int = 0) -> List[np.ndarray]:
-    """The sort1 population: registry-extract-like lists."""
-    return [real_world_item(i, seed) for i in range(n)]

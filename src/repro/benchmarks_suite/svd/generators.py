@@ -16,8 +16,6 @@ vs. large ``k``, iterative vs. exact technique) win on different inputs:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.benchmarks_suite.svd.benchmark import SVDInput
@@ -98,8 +96,3 @@ def synthetic_item(index: int, seed: int = 0) -> SVDInput:
     rng = per_index_rng(seed, index, "svd", "synthetic")
     family = SYNTHETIC_FAMILIES[index % len(SYNTHETIC_FAMILIES)]
     return family(rng)
-
-
-def generate_synthetic(n: int, seed: int = 0) -> List[SVDInput]:
-    """The SVD input population used in Table 1."""
-    return [synthetic_item(i, seed) for i in range(n)]

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     _env_batch_chunk,
     _env_cache_max_entries,
     _env_dist_workers,
-    _env_stream_inputs,
     run_experiment,
 )
 from repro.experiments.table1 import TABLE1_TESTS, format_table1, run_table1, summarize_headline
@@ -49,7 +48,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         cache_path=args.cache_path,
         batch_chunk=args.batch_chunk,
         cache_max_entries=max_entries,
-        stream_inputs=args.stream_inputs,
         checkpoint=getattr(args, "checkpoint", False),
         resume=getattr(args, "resume", False),
     )
@@ -106,14 +104,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         help="LRU cap on the in-memory run cache (default: "
         "%(default)s entries, ~45 MB; 0 or negative for unbounded; "
         "with --cache-path, evicted entries stay reachable on disk)",
-    )
-    parser.add_argument(
-        "--stream-inputs",
-        action=argparse.BooleanOptionalAction,
-        default=_env_stream_inputs(),
-        help="feed the pipeline a lazy input source (--no-stream-inputs "
-        "materializes the full list up front; results are bit-identical "
-        "either way, and either spelling overrides REPRO_STREAM_INPUTS)",
     )
     parser.add_argument(
         "--checkpoint",

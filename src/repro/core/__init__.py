@@ -26,7 +26,7 @@ The subpackage is organized along the paper's Section 3:
 * :mod:`repro.core.model` -- the Section 4.3 theoretical model of
   diminishing returns in the number of landmark configurations.
 * :mod:`repro.core.inputs` -- lazy :class:`InputSource` populations: known
-  length, deterministic per-index materialization, chunked iteration -- the
+  length, deterministic per-index materialization, lazy selection -- the
   input side of the streaming (50k-input-regime) story.
 """
 
@@ -46,9 +46,7 @@ from repro.core.dataset import PerformanceDataset
 from repro.core.inputs import (
     GeneratedInputSource,
     InputSource,
-    MaterializedInputs,
     ObservedInputSource,
-    ensure_source,
     per_index_rng,
 )
 from repro.core.level1 import Level1Config, Level1Result, run_level1
@@ -67,7 +65,6 @@ __all__ = [
     "ClassifierEvaluation",
     "DeployedProgram",
     "DynamicOracle",
-    "ensure_source",
     "evaluate_classifier",
     "expected_speedup_loss",
     "fraction_of_full_speedup",
@@ -75,7 +72,6 @@ __all__ = [
     "IncrementalFeatureExaminationClassifier",
     "InputAwareLearning",
     "InputSource",
-    "MaterializedInputs",
     "ObservedInputSource",
     "per_index_rng",
     "Level1Config",

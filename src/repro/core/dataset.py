@@ -26,7 +26,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.inputs import InputSource
+from repro.core.inputs import _SelectedInputSource
 from repro.lang.accuracy import AccuracyRequirement
 from repro.lang.config import Configuration
 
@@ -45,10 +45,10 @@ class PerformanceDataset:
         requirement: the program's accuracy requirement (used for labelling).
         inputs: optionally, the raw input objects (kept by the pipeline for
             deployment-time evaluation; experiments that only need the
-            matrices may drop them).  Either a plain list or a lazy
-            :class:`~repro.core.inputs.InputSource` -- consumers index and
-            iterate it the same way, but a source re-materializes inputs on
-            demand instead of pinning the whole population in memory.
+            matrices may drop them).  Any sequence: a plain list or a lazy
+            :class:`~repro.core.inputs.InputSource`, which re-materializes
+            inputs on demand instead of pinning the whole population in
+            memory.
     """
 
     feature_names: List[str]
@@ -174,16 +174,11 @@ class PerformanceDataset:
     def subset(self, indices: Sequence[int]) -> "PerformanceDataset":
         """A new dataset restricted to the given row indices.
 
-        A lazy input source is narrowed with a lazy view (no
-        materialization); a plain input list is sliced eagerly.
+        The inputs are narrowed with a lazy index view, so a streamed
+        population is not materialized.
         """
         indices = np.asarray(indices, dtype=int)
-        if self.inputs is None:
-            inputs = None
-        elif isinstance(self.inputs, InputSource):
-            inputs = self.inputs.select(int(i) for i in indices)
-        else:
-            inputs = [self.inputs[int(i)] for i in indices]
+        inputs = None if self.inputs is None else _SelectedInputSource(self.inputs, indices)
         return PerformanceDataset(
             feature_names=list(self.feature_names),
             features=self.features[indices],

@@ -15,17 +15,16 @@ An :class:`InputSource` is a sequence-shaped view of an input population:
   contract is that ``source[i]`` is a pure function of (population, seed, i),
   so any access order, any chunking, and any number of re-materializations
   produce bit-identical objects (and therefore bit-identical run-cache keys,
-  which is what keeps streamed experiments equal to materialized ones);
-* iteration is **chunked and transient** -- :meth:`InputSource.iter_chunks`
-  yields lists of at most ``chunk`` freshly materialized inputs, and plain
-  iteration materializes one input at a time, so a consumer that does not
-  hold references keeps peak memory at O(chunk), not O(N).
+  which is what keeps streamed experiments equal to list-fed ones);
+* iteration is **transient** -- it materializes one input at a time, so a
+  consumer that does not hold references keeps peak memory at O(chunk),
+  not O(N).
 
 Per-index determinism comes from :func:`per_index_rng`: each input draws
 from its own RNG seeded by (namespace, seed, index), so generating input
-42 never requires generating inputs 0..41.  :class:`MaterializedInputs`
-adapts a plain list to the same interface for callers that already hold
-one; :func:`ensure_source` normalizes either shape.
+42 never requires generating inputs 0..41.  The core accepts any
+``Sequence`` of inputs -- a source or a plain list -- and never branches
+on which it got; ``list(source)`` is the whole population as a list.
 """
 
 from __future__ import annotations
@@ -33,13 +32,9 @@ from __future__ import annotations
 import abc
 import hashlib
 import time
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-
-#: Default chunk size for :meth:`InputSource.iter_chunks` when the caller
-#: does not pass one.
-DEFAULT_CHUNK = 256
 
 
 def per_index_rng(seed: int, index: int, *namespace: str) -> np.random.Generator:
@@ -63,7 +58,7 @@ class InputSource(abc.ABC, Sequence):
     """A known-length input population, materialized per index on demand.
 
     Subclasses implement :meth:`__len__` and :meth:`materialize`; everything
-    else (indexing, iteration, chunking, selection) is derived.  The
+    else (indexing, iteration, selection) is derived.  The
     materialization contract -- ``materialize(i)`` is a pure function of the
     source and ``i`` -- is what every streaming guarantee in the repo rests
     on; :mod:`tests.benchmarks_suite.test_input_sources` enforces it for
@@ -93,27 +88,9 @@ class InputSource(abc.ABC, Sequence):
         for i in range(len(self)):
             yield self.materialize(i)
 
-    def iter_chunks(self, chunk: Optional[int] = None) -> Iterator[List[Any]]:
-        """Yield the population as successive lists of at most ``chunk`` inputs.
-
-        Each chunk is materialized only when requested and can be dropped by
-        the consumer before the next is built, so a full pass costs O(chunk)
-        peak memory.
-        """
-        chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        n = len(self)
-        for start in range(0, n, chunk):
-            yield [self.materialize(i) for i in range(start, min(start + chunk, n))]
-
     def select(self, indices: Iterable[int]) -> "InputSource":
         """A lazy view of this source restricted to ``indices`` (in order)."""
         return _SelectedInputSource(self, indices)
-
-    def materialized(self) -> List[Any]:
-        """The whole population as a plain list (the O(N) legacy shape)."""
-        return [self.materialize(i) for i in range(len(self))]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={len(self)})"
@@ -155,31 +132,14 @@ class GeneratedInputSource(InputSource):
         return f"GeneratedInputSource({self._n},{label} seed={self.seed})"
 
 
-class MaterializedInputs(InputSource):
-    """Adapter: a plain in-memory input list behind the source interface.
+class _SelectedInputSource(InputSource):
+    """A lazy index-selected view over a source or a plain sequence.
 
-    Backward-compatibility shape for callers that already hold a list (or
-    for generators without a per-index form).  Costs the O(N) memory the
-    list already costs; "materialization" is a lookup.
+    Input ``k`` of the view is ``base[indices[k]]``, looked up only when
+    asked for, so selecting from a lazy source generates nothing up front.
     """
 
-    def __init__(self, inputs: Sequence[Any]) -> None:
-        self._inputs = list(inputs)
-
-    def __len__(self) -> int:
-        return len(self._inputs)
-
-    def materialize(self, index: int) -> Any:
-        return self._inputs[index]
-
-    def materialized(self) -> List[Any]:
-        return list(self._inputs)
-
-
-class _SelectedInputSource(InputSource):
-    """A lazy index-selected view over another source."""
-
-    def __init__(self, base: InputSource, indices: Iterable[int]) -> None:
+    def __init__(self, base: Sequence[Any], indices: Iterable[int]) -> None:
         self._base = base
         self._indices = [int(i) for i in indices]
 
@@ -187,7 +147,7 @@ class _SelectedInputSource(InputSource):
         return len(self._indices)
 
     def materialize(self, index: int) -> Any:
-        return self._base.materialize(self._indices[index])
+        return self._base[self._indices[index]]
 
 
 class ObservedInputSource(InputSource):
@@ -216,10 +176,3 @@ class ObservedInputSource(InputSource):
         item = self._base.materialize(index)
         self._observer(time.perf_counter() - start)
         return item
-
-
-def ensure_source(inputs: Any) -> InputSource:
-    """Normalize a list or source to an :class:`InputSource`."""
-    if isinstance(inputs, InputSource):
-        return inputs
-    return MaterializedInputs(inputs)

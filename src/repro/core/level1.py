@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.autotuner import EvolutionaryAutotuner
 from repro.core.dataset import PerformanceDataset
-from repro.core.inputs import InputSource
 from repro.lang.config import Configuration
 from repro.lang.program import PetaBricksProgram
 from repro.ml.kmeans import KMeans
@@ -260,9 +259,10 @@ def run_level1(
     time, landmark tuning materializes only each cluster's representatives,
     and the measurement matrix streams through :meth:`Runtime.measure`
     (re-materializing inputs per chunk), so peak memory stays O(chunk)
-    rather than O(N) while every number stays bit-identical to the
-    materialized path (per-index generation is deterministic, so the
-    content-keyed run cache sees the same keys either way).
+    rather than O(N) while every number stays bit-identical to a list of
+    the same inputs (per-index generation is deterministic, so the
+    content-keyed run cache sees the same keys either way).  The dataset
+    keeps ``inputs`` as given.
     """
     if config is None:
         config = Level1Config()
@@ -309,10 +309,7 @@ def run_level1(
         accuracies=measured["accuracies"],
         landmarks=list(landmarks),
         requirement=program.accuracy_requirement,
-        # A lazy source is kept as-is -- materializing it here would
-        # reintroduce the O(N) input list the streaming path removes; the
-        # dataset's consumers only ever index or re-iterate it.
-        inputs=inputs if isinstance(inputs, InputSource) else list(inputs),
+        inputs=inputs,
     )
     return Level1Result(
         dataset=dataset,

@@ -85,12 +85,6 @@ def _env_cache_max_entries() -> Optional[int]:
     return parsed if parsed > 0 else None
 
 
-def _env_stream_inputs() -> bool:
-    """``REPRO_STREAM_INPUTS``: falsy values opt out of lazy input sources."""
-    value = os.environ.get("REPRO_STREAM_INPUTS", "").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
 @dataclass
 class ExperimentConfig:
     """Size and seed knobs shared by all experiment drivers.
@@ -119,16 +113,14 @@ class ExperimentConfig:
     by O(chunk) on the way to the paper's 50-60k-input regime.  Results are
     bit-identical whatever the chunk size and the executor.
 
-    The remaining two memory knobs complete that story end to end.
-    ``stream_inputs`` (on by default; ``--no-stream-inputs`` /
-    ``REPRO_STREAM_INPUTS=0`` opt out) feeds the pipeline a lazy
-    :class:`~repro.core.inputs.InputSource` instead of a materialized input
-    list, so the inputs themselves are regenerated per index/chunk rather
-    than pinned for the whole run.  ``cache_max_entries``
-    (``--cache-max-entries`` / ``REPRO_CACHE_MAX_ENTRIES``; <= 0 for
-    unbounded) caps the in-memory run cache.  With all three set, a run's
-    peak memory is O(chunk) inputs + O(chunk) transient results +
-    O(cache cap) -- not O(N) -- with bit-identical outputs.
+    The pipeline is always fed a lazy
+    :class:`~repro.core.inputs.InputSource`, so the inputs themselves are
+    regenerated per index/chunk rather than pinned for the whole run.
+    ``cache_max_entries`` (``--cache-max-entries`` /
+    ``REPRO_CACHE_MAX_ENTRIES``; <= 0 for unbounded), the remaining memory
+    knob, caps the in-memory run cache.  A run's peak memory is therefore
+    O(chunk) inputs + O(chunk) transient results + O(cache cap) -- not
+    O(N) -- with bit-identical outputs.
     """
 
     n_inputs: int = 240
@@ -146,7 +138,6 @@ class ExperimentConfig:
     cache_path: Optional[str] = None
     batch_chunk: Optional[int] = field(default_factory=_env_batch_chunk)
     cache_max_entries: Optional[int] = field(default_factory=_env_cache_max_entries)
-    stream_inputs: bool = field(default_factory=_env_stream_inputs)
     #: Write a chunk-granular resume manifest next to the cache store
     #: (requires ``cache_path``); see ``docs/resilience.md``.
     checkpoint: bool = False
@@ -204,7 +195,6 @@ class ExperimentConfig:
                 "tuning_neighbors": self.tuning_neighbors,
                 "max_subsets": self.max_subsets,
                 "batch_chunk": self.batch_chunk,
-                "stream_inputs": self.stream_inputs,
             }
         )
 
@@ -387,23 +377,17 @@ def run_experiment(
         source = variant.benchmark.input_source(
             config.n_inputs, variant.variant, seed=config.seed
         )
-        if config.stream_inputs:
-            # Lazy path: nothing is generated yet.  Generation happens at
-            # each materialization inside the consuming phases, so its cost
-            # is observed per input and accumulated under the
-            # ``inputs.generate`` phase (plus the ``inputs_generated``
-            # counter) instead of a monolithic up-front ``generate_inputs``
-            # phase.
-            telemetry = active.telemetry
+        # Nothing is generated yet.  Generation happens at each
+        # materialization inside the consuming phases, so its cost is
+        # observed per input and accumulated under the ``inputs.generate``
+        # phase (plus the ``inputs_generated`` counter).
+        telemetry = active.telemetry
 
-            def _observe(seconds: float) -> None:
-                telemetry.add_seconds("inputs.generate", seconds)
-                telemetry.count("inputs_generated")
+        def _observe(seconds: float) -> None:
+            telemetry.add_seconds("inputs.generate", seconds)
+            telemetry.count("inputs_generated")
 
-            inputs = ObservedInputSource(source, _observe)
-        else:
-            with active.telemetry.phase("generate_inputs"):
-                inputs = source.materialized()
+        inputs = ObservedInputSource(source, _observe)
         learner = InputAwareLearning(
             level1_config=config.level1(),
             level2_config=config.level2(),

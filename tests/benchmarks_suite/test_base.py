@@ -60,9 +60,15 @@ class TestBenchmarkInterface:
             benchmark.generate_inputs(1, "nope")
 
     def test_input_generator_rejects_negative_count(self):
-        generator = InputGenerator("g", "test", lambda n, seed: [0] * n)
+        generator = InputGenerator("g", "test", lambda index, seed: index)
         with pytest.raises(ValueError):
-            generator.generate(-1)
+            generator.source(-1)
+
+    def test_input_generator_requires_a_per_index_item(self):
+        with pytest.raises(TypeError):
+            InputGenerator("g", "test")
+        generator = InputGenerator("g", "test", item=lambda index, seed: index + seed)
+        assert list(generator.source(3, seed=10)) == [10, 11, 12]
 
     def test_abstract_benchmark_cannot_instantiate(self):
         with pytest.raises(TypeError):

@@ -103,7 +103,7 @@ class TestBinpackingFeaturesAndGenerators:
         assert set(feature_set.property_names) == {"average", "deviation", "range", "sortedness", "size"}
 
     def test_generator_counts_and_ranges(self):
-        inputs = generators.generate_synthetic(10, seed=0)
+        inputs = [generators.synthetic_item(i, seed=0) for i in range(10)]
         assert len(inputs) == 10
         for items in inputs:
             assert np.all(items > 0.0) and np.all(items <= 1.0)
@@ -111,7 +111,7 @@ class TestBinpackingFeaturesAndGenerators:
     def test_generator_families_mostly_packable_to_threshold(self):
         """At least one heuristic should reach the accuracy threshold on
         nearly every generated input (needed for the satisfaction claim)."""
-        inputs = generators.generate_synthetic(30, seed=5)
+        inputs = [generators.synthetic_item(i, seed=5) for i in range(30)]
         achievable = [
             max(
                 algorithms.occupancy(h(list(items)))

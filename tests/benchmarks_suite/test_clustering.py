@@ -92,11 +92,12 @@ class TestClusteringAccuracyMetric:
 
 class TestClusteringGeneratorsAndProgram:
     def test_generator_counts(self):
-        assert len(generators.generate_synthetic(10, seed=0)) == 10
-        assert len(generators.generate_real_world(10, seed=0)) == 10
+        benchmark = ClusteringBenchmark()
+        assert len(benchmark.generate_inputs(10, "synthetic", seed=0)) == 10
+        assert len(benchmark.generate_inputs(10, "real_world", seed=0)) == 10
 
     def test_real_world_inputs_are_lattice_like(self):
-        inputs = generators.generate_real_world(5, seed=1)
+        inputs = [generators.real_world_item(i, seed=1) for i in range(5)]
         for problem in inputs:
             distinct = len(np.unique(problem.points, axis=0))
             assert distinct < len(problem.points)  # heavy duplication

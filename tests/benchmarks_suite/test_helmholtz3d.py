@@ -148,7 +148,7 @@ class TestHelmholtzProgram:
         assert result.accuracy >= ACCURACY_THRESHOLD
 
     def test_generator_structure(self):
-        inputs = generators.generate_synthetic(10, seed=0)
+        inputs = [generators.synthetic_item(i, seed=0) for i in range(10)]
         assert len(inputs) == 10
         for problem in inputs:
             assert problem.rhs.shape == problem.coefficient.shape
@@ -167,7 +167,7 @@ class TestHelmholtzProgram:
 
     def test_feature_extraction_works_on_inputs(self):
         program = Helmholtz3DBenchmark().program
-        problem = generators.generate_synthetic(1, seed=1)[0]
+        problem = generators.synthetic_item(0, seed=1)
         values, costs = program.features.extract_vector(problem)
         assert values.shape == costs.shape
         assert np.all(np.isfinite(values))

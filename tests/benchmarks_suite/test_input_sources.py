@@ -32,12 +32,12 @@ def digests(inputs):
 @pytest.mark.parametrize("test_name", ALL_TESTS)
 @pytest.mark.parametrize("n,seed", SIZE_SEED_PAIRS)
 def test_source_equals_generate_inputs(test_name, n, seed):
-    """Chunk-wise materialization of the source equals the legacy list."""
+    """Chunk-wise slices of the source equal the plain list."""
     variant = get_benchmark(test_name)
     source = variant.benchmark.input_source(n, variant.variant, seed=seed)
     legacy = variant.benchmark.generate_inputs(n, variant.variant, seed=seed)
     assert len(source) == len(legacy) == n
-    chunked = [x for chunk in source.iter_chunks(4) for x in chunk]
+    chunked = [x for start in range(0, n, 4) for x in source[start : start + 4]]
     assert digests(chunked) == digests(legacy)
 
 

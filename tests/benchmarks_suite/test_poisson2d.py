@@ -109,7 +109,7 @@ class TestPoissonAccuracyAndProgram:
         assert problem.exact_solution() is first
 
     def test_generator_grid_sizes(self):
-        inputs = generators.generate_synthetic(10, seed=0)
+        inputs = [generators.synthetic_item(i, seed=0) for i in range(10)]
         assert len(inputs) == 10
         assert all(problem.rhs.shape[0] in generators.GRID_SIZES for problem in inputs)
 

@@ -154,23 +154,23 @@ class TestSortFeatures:
 
 class TestSortGenerators:
     def test_synthetic_count_and_type(self):
-        inputs = generators.generate_synthetic(16, seed=0)
+        inputs = SortBenchmark().generate_inputs(16, "synthetic", seed=0)
         assert len(inputs) == 16
         assert all(isinstance(x, np.ndarray) for x in inputs)
         assert all(generators.MIN_LENGTH <= len(x) <= generators.MAX_LENGTH for x in inputs)
 
     def test_real_world_count(self):
-        inputs = generators.generate_real_world(10, seed=0)
+        inputs = SortBenchmark().generate_inputs(10, "real_world", seed=0)
         assert len(inputs) == 10
 
     def test_generators_deterministic(self):
-        first = generators.generate_synthetic(5, seed=3)
-        second = generators.generate_synthetic(5, seed=3)
+        first = [generators.synthetic_item(i, seed=3) for i in range(5)]
+        second = [generators.synthetic_item(i, seed=3) for i in range(5)]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_families_cover_feature_space(self):
         """The synthetic mixture should contain both nearly-sorted and random lists."""
-        inputs = generators.generate_synthetic(16, seed=1)
+        inputs = [generators.synthetic_item(i, seed=1) for i in range(16)]
         sortedness_values = [features.sortedness(x, 1.0) for x in inputs]
         assert max(sortedness_values) > 0.95
         assert min(sortedness_values) < 0.6

@@ -91,14 +91,14 @@ class TestSVDAccuracyMetric:
 
 class TestSVDGeneratorsAndProgram:
     def test_generator_shapes(self):
-        inputs = generators.generate_synthetic(8, seed=0)
+        inputs = [generators.synthetic_item(i, seed=0) for i in range(8)]
         assert len(inputs) == 8
         for problem in inputs:
             m, n = problem.matrix.shape
             assert m >= n
 
     def test_low_rank_family_has_zeros(self):
-        inputs = generators.generate_synthetic(8, seed=1)
+        inputs = [generators.synthetic_item(i, seed=1) for i in range(8)]
         zero_fractions = [np.mean(problem.matrix == 0.0) for problem in inputs]
         assert max(zero_fractions) > 0.1
 

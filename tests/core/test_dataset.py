@@ -160,13 +160,16 @@ class TestWithoutInputs:
         dataset.inputs = ["x"] * dataset.n_inputs
         assert dataset.without_inputs() is dataset.without_inputs()
 
-    def test_lazy_source_subset_of_source(self):
+    @pytest.mark.parametrize("kind", ["list", "source"])
+    def test_subset_is_a_lazy_view(self, kind):
         from repro.core.inputs import GeneratedInputSource, InputSource
 
         dataset = make_dataset()
         dataset.inputs = GeneratedInputSource(
             dataset.n_inputs, 0, lambda i, seed: i * 10
         )
+        if kind == "list":
+            dataset.inputs = list(dataset.inputs)
         narrowed = dataset.subset([4, 2])
         assert isinstance(narrowed.inputs, InputSource)
         assert list(narrowed.inputs) == [40, 20]

@@ -76,15 +76,13 @@ class TestRunExperiment:
 
 
 class TestMemoryKnobDefaults:
-    """The streaming/cap knobs and their environment overrides."""
+    """The run-cache cap knob and its environment override."""
 
     def test_defaults(self, monkeypatch):
         from repro.runtime import RunCache
 
         monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_INPUTS", raising=False)
         config = ExperimentConfig()
-        assert config.stream_inputs is True
         assert config.cache_max_entries == RunCache.DEFAULT_MAX_ENTRIES
         runtime = config.make_runtime()
         try:
@@ -94,10 +92,7 @@ class TestMemoryKnobDefaults:
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "512")
-        monkeypatch.setenv("REPRO_STREAM_INPUTS", "0")
-        config = ExperimentConfig()
-        assert config.cache_max_entries == 512
-        assert config.stream_inputs is False
+        assert ExperimentConfig().cache_max_entries == 512
 
     def test_env_cap_zero_means_unbounded(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "0")

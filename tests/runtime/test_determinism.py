@@ -201,7 +201,7 @@ class TestMeasureMatchesSerial:
         program, configs, _ = sort_setup
         variant = get_benchmark("sort2")
         source = variant.benchmark.input_generators()["synthetic"].source(6, seed=0)
-        expected = serial_matrices(program, configs, source.materialized())
+        expected = serial_matrices(program, configs, list(source))
         materializations = []
         observed = ObservedInputSource(source, materializations.append)
         with Runtime(

@@ -256,6 +256,53 @@ class TestDistributedMeasure:
             assert len(handle.readlines()) == 6
 
 
+class TestPairsTraffic:
+    """What ``measure`` ships: each ``pairs`` lease pickles its chunk in one
+    ``encode_payload`` call, and pickle's memo writes an input shared by K
+    adjacent tasks once per chunk -- not once per configuration."""
+
+    N_INPUTS = 40
+    N_CONFIGS = 6
+
+    @pytest.mark.parametrize("test_name", ["sort1", "binpacking", "helmholtz3d"])
+    def test_pairs_leases_ship_each_input_about_once(self, test_name, monkeypatch):
+        import random
+
+        from repro.runtime import distributed
+
+        variant = get_benchmark(test_name)
+        program = variant.benchmark.program
+        rng = random.Random(0)
+        configs = [program.config_space.sample(rng) for _ in range(self.N_CONFIGS)]
+        source = variant.benchmark.input_source(self.N_INPUTS, variant.variant, seed=0)
+        one_copy = len(encode_payload(list(source))) + len(encode_payload(configs))
+
+        shipped = []
+
+        def recording_encode(obj):
+            text = encode_payload(obj)
+            if isinstance(obj, list):  # a lease chunk; the context is the program
+                shipped.append(len(text))
+            return text
+
+        monkeypatch.setattr(distributed, "encode_payload", recording_encode)
+        rt = Runtime.create(executor="distributed", workers=2)
+        try:
+            measured = rt.measure(program, configs, source)
+            leases = rt.stats()["distributed"]["leases_issued"]
+        finally:
+            rt.close()
+        assert measured["times"].shape == (self.N_INPUTS, self.N_CONFIGS)
+        assert len(shipped) == leases > 1
+        ratio = sum(shipped) / one_copy
+        print(f"\n[pairs-traffic] {test_name}: {sum(shipped)} B in {leases} leases "
+              f"vs {one_copy} B for one copy (ratio {ratio:.3f})")
+        assert ratio <= 1.1, (
+            f"pairs leases shipped {sum(shipped)} B, {ratio:.2f}x one encoding "
+            f"of the {self.N_INPUTS} inputs plus {self.N_CONFIGS} configs"
+        )
+
+
 # -- fault injection -----------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarks_suite import get_benchmark
+from repro.core import InputAwareLearning
 from repro.core.level2 import Level2Config, run_level2
 from repro.core.synthetic import synthetic_level2_dataset
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -33,7 +34,6 @@ def tiny_config(executor: str, **overrides) -> ExperimentConfig:
         executor=executor,
         workers=2,
         batch_chunk=None,
-        stream_inputs=False,
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
@@ -82,17 +82,53 @@ class TestExperimentStreamingDeterminism:
 class TestStreamedInputDeterminism:
     """A streamed ``InputSource`` must change nothing but peak memory.
 
-    The acceptance bar of the input-streaming work: a run fed a lazy input
-    source (``stream_inputs=True``) produces bit-identical
-    ``PerformanceDataset`` arrays and selector output to the
-    materialized-list path, on every executor, with and without chunking
-    and the LRU cache cap.
+    The acceptance bar of the input-streaming work: ``run_experiment``,
+    which always feeds the pipeline a lazy input source, produces
+    ``PerformanceDataset`` arrays and selector output bit-identical to the
+    core pipeline fed a plain input list, and to itself on every executor,
+    with and without chunking and the LRU cache cap.
     """
+
+    def test_list_fed_core_matches_run_experiment(self, unchunked_result):
+        """``InputAwareLearning.fit`` on ``generate_inputs`` (a plain list)
+        is the reference the streamed runner must reproduce bit for bit."""
+        from repro.experiments.runner import evaluate_methods
+
+        config = tiny_config("serial")
+        variant = get_benchmark("sort1")
+        inputs = variant.benchmark.generate_inputs(
+            config.n_inputs, variant.variant, seed=config.seed
+        )
+        assert isinstance(inputs, list)
+        with config.runtime_scope() as runtime:
+            learner = InputAwareLearning(
+                level1_config=config.level1(),
+                level2_config=config.level2(),
+                test_fraction=config.test_fraction,
+                seed=config.seed,
+                runtime=runtime,
+            )
+            training = learner.fit(variant.benchmark.program, inputs)
+            methods = evaluate_methods(training, runtime=runtime)
+        streamed = unchunked_result.training
+        for matrix in ("features", "extraction_costs", "times", "accuracies"):
+            np.testing.assert_array_equal(
+                getattr(training.dataset, matrix), getattr(streamed.dataset, matrix)
+            )
+        assert training.landmarks == streamed.landmarks
+        assert (
+            training.production_classifier.name
+            == streamed.production_classifier.name
+        )
+        for method in METHODS:
+            np.testing.assert_array_equal(
+                methods[method].times, unchunked_result.methods[method].times
+            )
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_streamed_run_is_bit_identical(self, unchunked_result, executor):
         result = run_experiment(
-            "sort1", tiny_config(executor, stream_inputs=True, batch_chunk=7)
+            "sort1", tiny_config(executor, batch_chunk=7)
         )
         assert "executor_fallback" not in result.runtime_stats
         baseline_dataset = unchunked_result.training.dataset
@@ -115,9 +151,7 @@ class TestStreamedInputDeterminism:
     def test_streamed_run_with_capped_cache_is_bit_identical(self, unchunked_result):
         result = run_experiment(
             "sort1",
-            tiny_config(
-                "serial", stream_inputs=True, batch_chunk=5, cache_max_entries=16
-            ),
+            tiny_config("serial", batch_chunk=5, cache_max_entries=16),
         )
         assert result.runtime_stats["cache"]["evictions"] > 0
         for method in METHODS:
@@ -126,10 +160,10 @@ class TestStreamedInputDeterminism:
             )
 
     def test_streamed_telemetry_attributes_generation(self):
-        """Streaming moves generation cost out of ``generate_inputs`` into a
-        per-materialization ``inputs.generate`` phase, and counts chunks."""
+        """Generation cost is attributed per materialization to the
+        ``inputs.generate`` phase, and chunks are counted."""
         result = run_experiment(
-            "sort1", tiny_config("serial", stream_inputs=True, batch_chunk=7)
+            "sort1", tiny_config("serial", batch_chunk=7)
         )
         telemetry = result.runtime_stats["telemetry"]
         assert "generate_inputs" not in telemetry["phases"]
@@ -137,15 +171,10 @@ class TestStreamedInputDeterminism:
         assert generate["calls"] == telemetry["counters"]["inputs_generated"] > 0
         assert telemetry["counters"]["chunks_dispatched"] > 0
 
-    def test_materialized_telemetry_keeps_legacy_phase(self, unchunked_result):
-        telemetry = unchunked_result.runtime_stats["telemetry"]
-        assert "generate_inputs" in telemetry["phases"]
-        assert "inputs_generated" not in telemetry["counters"]
-
     def test_streamed_dataset_carries_lazy_source(self):
         from repro.core.inputs import InputSource
 
-        result = run_experiment("sort1", tiny_config("serial", stream_inputs=True))
+        result = run_experiment("sort1", tiny_config("serial"))
         dataset = result.training.dataset
         assert isinstance(dataset.inputs, InputSource)
         # The source still behaves like the input list consumers expect.
@@ -158,7 +187,7 @@ class TestStreamedInputDeterminism:
         and must be identity-stable so the process pool is reused."""
         import pickle
 
-        result = run_experiment("sort1", tiny_config("serial", stream_inputs=True))
+        result = run_experiment("sort1", tiny_config("serial"))
         dataset = result.training.dataset
         shipped = dataset.without_inputs()
         assert shipped.inputs is None

@@ -33,34 +33,18 @@ class TestParser:
 
     def test_memory_flags_parse_with_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_INPUTS", raising=False)
         args = build_parser().parse_args(["train", "sort2"])
         assert args.cache_max_entries == RunCache.DEFAULT_MAX_ENTRIES
-        assert args.stream_inputs is True
         config = _experiment_config(args)
         assert config.cache_max_entries == RunCache.DEFAULT_MAX_ENTRIES
-        assert config.stream_inputs is True
 
     def test_memory_flags_override(self):
-        args = build_parser().parse_args(
-            ["train", "sort2", "--cache-max-entries", "128", "--no-stream-inputs"]
-        )
-        config = _experiment_config(args)
-        assert config.cache_max_entries == 128
-        assert config.stream_inputs is False
+        args = build_parser().parse_args(["train", "sort2", "--cache-max-entries", "128"])
+        assert _experiment_config(args).cache_max_entries == 128
 
     def test_cache_cap_zero_means_unbounded(self):
         args = build_parser().parse_args(["train", "sort2", "--cache-max-entries", "0"])
         assert _experiment_config(args).cache_max_entries is None
-
-    def test_stream_inputs_flag_overrides_env_opt_out(self, monkeypatch):
-        """REPRO_STREAM_INPUTS=0 sets the default off, and --stream-inputs
-        must still be able to turn streaming back on."""
-        monkeypatch.setenv("REPRO_STREAM_INPUTS", "0")
-        parser = build_parser()
-        assert parser.parse_args(["train", "sort2"]).stream_inputs is False
-        args = parser.parse_args(["train", "sort2", "--stream-inputs"])
-        assert _experiment_config(args).stream_inputs is True
 
 
 class TestCommands:
